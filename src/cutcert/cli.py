@@ -133,7 +133,7 @@ def _round6(value):
 
 def cmd_certify(args) -> int:
     graph = _resolve_graph(args)
-    cert = smallness.minimal_c(graph, args.tol_c, args.tol)
+    cert = smallness.minimal_c(graph)
     if cert.small:
         payload = {"verdict": "small", "c_min": cert.c_min}
         _emit(payload, args.format)
@@ -164,13 +164,11 @@ def cmd_verify(args) -> int:
     if args.mode == "sample":
         report = cuts.sample_cuts_verify(
             graph, partition, kind=args.bound, trials=args.trials, seed=args.seed,
-            variant=args.variant, tol_c=args.tol_c, tol_psd=args.tol,
-            keep_rows=keep_rows,
+            variant=args.variant, keep_rows=keep_rows,
         )
     else:
         report = cuts.verify_bound(
-            graph, partition, kind=args.bound, variant=args.variant,
-            tol_c=args.tol_c, tol_psd=args.tol, keep_rows=keep_rows,
+            graph, partition, kind=args.bound, variant=args.variant, keep_rows=keep_rows,
         )
     _emit(
         report.to_dict(), args.format,
@@ -225,12 +223,6 @@ def _add_graph_source(parser):
 
 def _add_common(parser):
     parser.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="PSD / residual tolerance")
-    parser.add_argument("--tol-c", type=float, default=smallness.DEFAULT_TOL_C,
-                        help="bisection tolerance for minimal c")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker count for cut evaluation (result-invariant)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bounds, linalg, smallness
+from . import bounds, linalg
 from .graphs import Graph, cut_stats
 from .partitions import (
     PairPartition,
@@ -36,26 +36,26 @@ class CutCapError(ValueError):
     """Exhaustive enumeration requested past the cap; use sampling instead."""
 
 
-def enumerate_cuts(graph: Graph):
-    """Yield each nontrivial unordered cut once, as the side containing 0."""
-    n = graph.n
+def _cut_count(n: int) -> int:
+    """Number of nontrivial canonical cuts, 2^(n-1) - 1 (none below n = 2)."""
     if n > EXHAUSTIVE_CAP:
         raise CutCapError(
             f"exhaustive enumeration capped at n={EXHAUSTIVE_CAP}; "
             f"got n={n}, use sampling"
         )
-    for t in range(2 ** (n - 1) - 1 if n >= 1 else 0):
+    return (1 << (n - 1)) - 1 if n > 1 else 0
+
+
+def enumerate_cuts(graph: Graph):
+    """Yield each nontrivial unordered cut once, as the side containing 0."""
+    n = graph.n
+    for t in range(_cut_count(n)):
         mask = 1 | (t << 1)
         yield frozenset(v for v in range(n) if mask >> v & 1)
 
 
 def _exhaustive_masks(n: int):
-    if n > EXHAUSTIVE_CAP:
-        raise CutCapError(
-            f"exhaustive enumeration capped at n={EXHAUSTIVE_CAP}; "
-            f"got n={n}, use sampling"
-        )
-    total = 2 ** (n - 1) - 1
+    total = _cut_count(n)
     for start in range(0, total, _CHUNK):
         t = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         yield 1 | (t << 1)
@@ -194,7 +194,9 @@ def _bound_values(kind: str, variant: str, c: float, n: int, e_min: np.ndarray):
         additive = c * n / (2.0 * (1.0 + c)) if variant == bounds.TIGHT else c * n / 4.0
         above = bounds.lambda_value(c) * e_min + additive
         below = 2.0 * (1.0 - c) / c * e_min
-        return np.where(e_min > t, above, below)
+        # at c = (k-1)/k the threshold (k-1)^2 n / 4k can equal a whole e_min,
+        # which then belongs below; rounding of c may put t an ulp under it
+        return np.where(e_min > t + VIOLATION_TOL, above, below)
     raise ValueError(f"unknown bound kind {kind!r}")
 
 
@@ -219,10 +221,9 @@ def _inapplicable(graph, partition, kind, variant, mode, seed, trials, reason, d
     )
 
 
-def _evaluate(graph, partition, kind, variant, mask_chunks, mode, seed, trials,
-              tol_c, tol_psd, keep_rows):
+def _evaluate(graph, partition, kind, variant, mask_chunks, mode, seed, trials, keep_rows):
     dom = replication_degree_check(graph, partition)
-    cert = partition_certificate(graph, partition, tol_c, tol_psd)
+    cert = partition_certificate(graph, partition)
     if not cert.small:
         reason = f"block {cert.offending_block} is not c-small for any c"
         return _inapplicable(graph, partition, kind, variant, mode, seed, trials, reason, dom)
@@ -293,14 +294,12 @@ def verify_bound(
     partition: PairPartition,
     kind: str = KIND_BASE,
     variant: str = bounds.AS_STATED,
-    tol_c: float = smallness.DEFAULT_TOL_C,
-    tol_psd: float = linalg.DEFAULT_PSD_TOL,
     keep_rows: bool = False,
 ) -> VerificationReport:
     """Check the cut bound against every nontrivial cut of the graph."""
     return _evaluate(
         graph, partition, kind, variant, _exhaustive_masks(graph.n),
-        MODE_EXHAUSTIVE, None, None, tol_c, tol_psd, keep_rows,
+        MODE_EXHAUSTIVE, None, None, keep_rows,
     )
 
 
@@ -314,9 +313,6 @@ def _sampled_masks(n: int, trials: int, seed: int):
         # canonical side contains vertex 0
         flip = (masks & 1) == 0
         masks[flip] ^= full
-        # a flipped mask of 0 would become the full set; drop its last vertex
-        trivial = masks == full
-        masks[trivial] ^= 1 << (n - 1)
         yield masks
         done += k
 
@@ -328,8 +324,6 @@ def sample_cuts_verify(
     trials: int = 1000,
     seed: int = 0,
     variant: str = bounds.AS_STATED,
-    tol_c: float = smallness.DEFAULT_TOL_C,
-    tol_psd: float = linalg.DEFAULT_PSD_TOL,
     keep_rows: bool = False,
 ) -> VerificationReport:
     """Bound verification over uniformly sampled cuts; deterministic per seed."""
@@ -342,5 +336,5 @@ def sample_cuts_verify(
     return _evaluate(
         graph, partition, kind, variant,
         _sampled_masks(graph.n, trials, seed),
-        MODE_SAMPLED, seed, trials, tol_c, tol_psd, keep_rows,
+        MODE_SAMPLED, seed, trials, keep_rows,
     )

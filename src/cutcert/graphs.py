@@ -72,7 +72,9 @@ class Graph:
         """Graph with vertex v renamed perm[v]."""
         if sorted(perm) != list(range(self.n)):
             raise GraphInputError("relabeling must be a permutation of the vertices")
-        return Graph(self.n, frozenset(_canon_edge(perm[u], perm[v]) for u, v in self.edges))
+        return Graph(
+            self.n, frozenset(_canon_edge(int(perm[u]), int(perm[v])) for u, v in self.edges)
+        )
 
 
 def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
@@ -124,10 +126,6 @@ class Cut:
 
     def complement(self) -> frozenset:
         return frozenset(range(self.n)) - self.members
-
-
-def cut_vector(cut: Cut) -> np.ndarray:
-    return cut.vector()
 
 
 @dataclass(frozen=True)

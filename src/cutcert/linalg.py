@@ -2,8 +2,9 @@
 
 A cyclic Jacobi rotation scheme provides the full spectrum of the small dense
 symmetric matrices this toolkit works with (adjacency, Laplacian, and
-all-ones combinations of order at most a few hundred). Everything downstream
--- PSD verdicts, smallness certificates, Fiedler values -- sits on top of it.
+all-ones combinations of order at most a few hundred). PSD verdicts and
+Fiedler values sit on top of it; the tests use it as an independent oracle
+for the structural smallness certificates.
 """
 from __future__ import annotations
 
@@ -145,17 +146,3 @@ def quadratic_form(M: np.ndarray, x: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: matrix {M.shape}, vector {x.shape}")
     return float(x @ M @ x)
 
-
-def hyperplane_compression(M: np.ndarray) -> np.ndarray:
-    """P M P for the projection P = I - J/n onto the sum-zero hyperplane.
-
-    The result is negative semidefinite iff x^t M x <= 0 for every x with
-    coordinates summing to zero.
-    """
-    M = check_symmetric(M)
-    n = M.shape[0]
-    if n < 2:
-        raise ValueError("hyperplane compression needs order >= 2")
-    P = np.eye(n) - np.ones((n, n)) / n
-    C = P @ M @ P
-    return (C + C.T) / 2.0

@@ -137,19 +137,14 @@ class PartitionCertificate:
         return self.small
 
 
-def partition_certificate(
-    graph: Graph,
-    partition: PairPartition,
-    tol_c: float = smallness.DEFAULT_TOL_C,
-    tol_psd: float = 1e-9,
-) -> PartitionCertificate:
+def partition_certificate(graph: Graph, partition: PairPartition) -> PartitionCertificate:
     if graph.n != partition.n:
         raise PartitionError(
             f"size mismatch: graph has {graph.n} vertices, partition {partition.n}"
         )
     values = []
     for i, block in enumerate(partition.blocks):
-        cert = smallness.minimal_c(graph.induced_subgraph(block), tol_c, tol_psd)
+        cert = smallness.minimal_c(graph.induced_subgraph(block))
         if not cert.small:
             return PartitionCertificate(False, None, tuple(values), i, cert.witness)
         values.append(cert.c_min)

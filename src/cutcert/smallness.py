@@ -2,9 +2,10 @@
 
 A graph with adjacency matrix M is c-small when cJ - M is positive
 semidefinite (J the all-ones matrix), i.e. x^t M x <= c (sum x)^2 for every
-real x. This module decides the property at a given c, bisects for the
-minimal feasible c, and knows the closed-form values of the standard
-families (stars, complete bipartite, complete multipartite).
+real x. This module decides the property at a given c and finds the
+minimal feasible c exactly, from one pass over the graph's structure, and
+knows the closed-form values of the standard families (stars, complete
+bipartite, complete multipartite).
 """
 from __future__ import annotations
 
@@ -15,111 +16,109 @@ import numpy as np
 from . import linalg
 from .graphs import Graph
 
-DEFAULT_TOL_C = 1e-7
-BRACKET_CAP = 2.0**20
-
 FAMILY_STAR = "star"
 FAMILY_COMPLETE_BIPARTITE = "complete_bipartite"
 FAMILY_COMPLETE_MULTIPARTITE = "complete_multipartite"
-
-
-class BracketError(RuntimeError):
-    """Feasibility bracket for c exceeded its cap; input is pathological."""
 
 
 @dataclass(frozen=True)
 class SmallnessCertificate:
     """Either Small(c_min) or NotSmallForAnyC(witness).
 
-    Small certificates are two-sided: cJ - M is PSD at c_min and fails at
-    c_min - 2 tol_c. A NotSmallForAnyC witness w has sum(w) = 0 and
-    w^t M w > 0, which rules out every finite c at once.
+    A small graph is complete multipartite with ``parts`` parts (an edgeless
+    graph has one part, the order-0 graph none), and c_min = (parts-1)/parts
+    exactly. A NotSmallForAnyC witness w has sum(w) = 0 and w^t M w = 2 > 0,
+    which rules out every finite c at once.
     """
 
     small: bool
     c_min: float | None
     witness: np.ndarray | None
-    tol_c: float
-    tol_psd: float
+    parts: int | None
 
     @staticmethod
-    def of_small(c_min, tol_c, tol_psd):
-        return SmallnessCertificate(True, float(c_min), None, tol_c, tol_psd)
+    def of_small(parts):
+        return SmallnessCertificate(True, _c_of_parts(parts), None, parts)
 
     @staticmethod
-    def of_not_small(witness, tol_c, tol_psd):
-        return SmallnessCertificate(False, None, np.asarray(witness, float), tol_c, tol_psd)
+    def of_not_small(witness):
+        return SmallnessCertificate(False, None, np.asarray(witness, float), None)
 
 
-def _certificate_matrix(M: np.ndarray, c: float) -> np.ndarray:
-    return c * linalg.all_ones(M.shape[0]) - M
+def _c_of_parts(k: int) -> float:
+    return (k - 1) / k if k else 0.0
 
 
-def is_c_small_matrix(M: np.ndarray, c: float, tol: float = linalg.DEFAULT_PSD_TOL):
+def _low_bit(x: int) -> int:
+    return (x & -x).bit_length() - 1
+
+
+def _structure(graph: Graph):
+    """Parts of a complete multipartite graph, or a not-small witness.
+
+    cJ - M >= 0 leaves M at most one positive eigenvalue, so a small graph
+    is complete multipartite plus isolated vertices (Smith, 1970), and an
+    isolated vertex beside an edge already breaks smallness. For k parts,
+    x^t M x = (sum x)^2 - sum of squared part sums <= (1 - 1/k)(sum x)^2 by
+    Cauchy-Schwarz, with equality at x_v = 1/(k |part(v)|).
+
+    Vertices are grouped by neighbourhood bitmask: the graph is complete
+    multipartite (edgeless counts as one part) iff each group is the
+    complement of its neighbourhood. Returns (part bitmasks, None), or
+    (None, x) with x = (1, 1, -2) on an edge uw and a vertex v adjacent to
+    neither: sum(x) = 0 and x^t M x = 2.
+    """
+    adj = [0] * graph.n
+    for u, w in graph.edges:
+        adj[u] |= 1 << w
+        adj[w] |= 1 << u
+    groups = {}
+    for v, nbrs in enumerate(adj):
+        groups[nbrs] = groups.get(nbrs, 0) | 1 << v
+    full = (1 << graph.n) - 1
+    for nbrs, part in groups.items():
+        stray = full ^ nbrs ^ part
+        if stray:
+            # u is not adjacent to v but has another neighbourhood; a vertex
+            # w in exactly one of the two closes an edge the third one misses
+            v, u = _low_bit(part), _low_bit(stray)
+            w = _low_bit(adj[u] ^ nbrs)
+            a, b, z = (u, w, v) if adj[u] >> w & 1 else (v, w, u)
+            x = np.zeros(graph.n)
+            x[[a, b]] = 1.0
+            x[z] = -2.0
+            return None, x
+    return list(groups.values()), None
+
+
+def is_c_small(graph: Graph, c: float):
+    """Decide whether the graph is c-small; False comes with a violating x.
+
+    The violating x has x^t M x > c (sum x)^2: the (1, 1, -2) witness of a
+    graph not small for any c, or x_v = 1/(k |part(v)|), which sums to 1
+    with x^t M x = 1 - 1/k.
+    """
     if c < 0:
         raise ValueError(f"smallness constant must be nonnegative, got {c}")
-    verdict = linalg.is_psd(_certificate_matrix(M, c), tol)
-    # the minimal eigenvector of cJ - M violates x^t M x <= c (sum x)^2
-    return verdict.psd, verdict.witness
+    parts, witness = _structure(graph)
+    if witness is not None:
+        return False, witness
+    k = len(parts)
+    if c >= _c_of_parts(k):
+        return True, None
+    x = np.zeros(graph.n)
+    for part in parts:
+        members = [v for v in range(graph.n) if part >> v & 1]
+        x[members] = 1.0 / (k * len(members))
+    return False, x
 
 
-def is_c_small(graph: Graph, c: float, tol: float = linalg.DEFAULT_PSD_TOL):
-    """Decide whether the graph is c-small; False comes with a violating x."""
-    return is_c_small_matrix(graph.adjacency_matrix(), c, tol)
-
-
-def minimal_c_matrix(
-    M: np.ndarray,
-    tol_c: float = DEFAULT_TOL_C,
-    tol_psd: float = linalg.DEFAULT_PSD_TOL,
-) -> SmallnessCertificate:
-    if tol_c <= 0 or tol_psd <= 0:
-        raise ValueError("tolerances must be positive")
-    M = linalg.check_symmetric(M)
-    n = M.shape[0]
-    if n == 1:
-        return SmallnessCertificate.of_small(0.0, tol_c, tol_psd)
-
-    # On the sum-zero hyperplane cJ - M does not depend on c, so M must be
-    # NSD there for any finite c to work; otherwise the top eigenvector of
-    # the compressed matrix is a once-and-for-all witness.
-    compressed = linalg.hyperplane_compression(M)
-    spectrum = linalg.eigen_all(compressed)
-    top = float(spectrum.values[-1])
-    if top > tol_psd:
-        w = spectrum.vectors[:, -1].copy()
-        w -= w.mean()  # exact sum-zero projection
-        return SmallnessCertificate.of_not_small(w, tol_c, tol_psd)
-
-    def feasible(c: float) -> bool:
-        return linalg.is_psd(_certificate_matrix(M, c), tol_psd).psd
-
-    if feasible(0.0):
-        return SmallnessCertificate.of_small(0.0, tol_c, tol_psd)
-    lo, hi = 0.0, 1.0
-    while not feasible(hi):
-        hi *= 2.0
-        if hi > BRACKET_CAP:
-            raise BracketError(
-                f"no feasible c below {BRACKET_CAP}; hyperplane pre-check passed, "
-                "input is numerically pathological"
-            )
-    while hi - lo > tol_c:
-        mid = (lo + hi) / 2.0
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return SmallnessCertificate.of_small(hi, tol_c, tol_psd)
-
-
-def minimal_c(
-    graph: Graph,
-    tol_c: float = DEFAULT_TOL_C,
-    tol_psd: float = linalg.DEFAULT_PSD_TOL,
-) -> SmallnessCertificate:
+def minimal_c(graph: Graph) -> SmallnessCertificate:
     """Minimal c for which the graph is c-small, or a proof none exists."""
-    return minimal_c_matrix(graph.adjacency_matrix(), tol_c, tol_psd)
+    parts, witness = _structure(graph)
+    if witness is not None:
+        return SmallnessCertificate.of_not_small(witness)
+    return SmallnessCertificate.of_small(len(parts))
 
 
 def family_c(family: str, s: int | None = None) -> float:

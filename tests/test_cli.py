@@ -54,6 +54,11 @@ class TestCertify:
         assert payload["verdict"] == "small"
         assert abs(payload["c_min"] - 2 / 3) < 1e-6
 
+    def test_order_zero_graph_is_zero_small(self, capsys):
+        code, out, err = run(capsys, "certify", "--gen", "empty:0", "--format", "json")
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"verdict": "small", "c_min": 0.0}
+
 
 class TestValidate:
     def test_near_pencil_blocks(self, capsys, tmp_path):
@@ -196,10 +201,12 @@ class TestReport:
 def test_generator_specs_cover_families(capsys):
     for spec, n in [("star:3", 4), ("complete:6", 6), ("path:4", 4),
                     ("empty:3", 3), ("bipartite:2,3", 5),
-                    ("multipartite:2,2,2", 6), ("gnp:10,0.5,42", 10)]:
+                    ("multipartite:2,2,2", 6), ("gnp:10,0.5,42", 10), ("empty:0", 0)]:
         code, out, _ = run(capsys, "report", "--gen", spec, "--mode", "sparsity",
                            "--format", "json")
         assert code == 0
+        if n == 0:
+            assert json.loads(out)["min_ratio"] is None
 
 
 def test_gnp_spec_matches_library(capsys):

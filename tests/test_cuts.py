@@ -75,6 +75,15 @@ class TestVerifyBound:
         assert report.c == pytest.approx(0.8, abs=1e-6)
         assert report.violations == ()
 
+    def test_refined_threshold_tie_takes_low_branch(self):
+        # K_9 on the affine plane of order 3: c = 2/3 puts the case threshold
+        # at exactly 3 edges, so e_min = 3 uses the bound 2(1-c)/c * 3 = 3
+        p = partitions.affine_plane(3)
+        g = graphs.design_graph(9, p.blocks, "complete")
+        report = verify_bound(g, p, kind="refined", keep_rows=True)
+        tied = [bound for _, e_in, e_out, _, bound, _ in report.rows if min(e_in, e_out) == 3]
+        assert tied and all(bound == pytest.approx(3.0, abs=1e-9) for bound in tied)
+
     def test_not_small_block_inapplicable(self):
         g = graphs.from_edge_list(4, [(0, 1), (2, 3)])
         report = verify_bound(g, partitions.trivial_partition(4))

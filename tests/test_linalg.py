@@ -6,7 +6,6 @@ import pytest
 from cutcert import graphs, linalg
 from cutcert.linalg import (
     eigen_all,
-    hyperplane_compression,
     is_psd,
     quadratic_form,
 )
@@ -137,24 +136,3 @@ class TestQuadraticForm:
         with pytest.raises(ValueError, match="mismatch"):
             quadratic_form(np.eye(3), [1.0, 2.0])
 
-
-class TestHyperplaneCompression:
-    def test_all_ones_compresses_to_zero(self):
-        assert np.allclose(hyperplane_compression(linalg.all_ones(5)), 0.0, atol=1e-12)
-
-    def test_two_disjoint_edges_not_nsd(self):
-        M = graphs.from_edge_list(4, [(0, 1), (2, 3)]).adjacency_matrix()
-        x = np.array([1.0, 1.0, -1.0, -1.0])
-        assert quadratic_form(M, x) == 4.0 and x.sum() == 0.0
-        assert eigen_all(hyperplane_compression(M)).values[-1] > 0.5
-
-    def test_single_edge_nsd_on_hyperplane(self):
-        M = graphs.complete(2).adjacency_matrix()
-        C = hyperplane_compression(M)
-        assert eigen_all(C).values[-1] <= 1e-12
-        # x = (t, -t) gives -2 t^2
-        assert quadratic_form(M, [1.0, -1.0]) == -2.0
-
-    def test_needs_order_two(self):
-        with pytest.raises(ValueError):
-            hyperplane_compression(np.zeros((1, 1)))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,12 @@ from cutcert.smallness import (
 )
 
 TWO_EDGES = graphs.from_edge_list(4, [(0, 1), (2, 3)])
+MULTIPARTITE_SIZES = [
+    (2, 2), (1, 3), (3, 4), (6, 6), (2, 10),
+    (1, 1, 1), (2, 2, 2), (4, 4, 4), (2, 3, 4), (1, 2, 9),
+    (1, 1, 1, 1), (3, 3, 3, 3), (1, 2, 3, 4), (2, 2, 4, 4),
+    (1, 1, 1, 1, 1), (2, 2, 2, 2, 2), (1, 1, 2, 3, 5), (2, 2, 2, 3, 3),
+]
 
 
 class TestIsCSmall:
@@ -59,12 +67,29 @@ class TestMinimalC:
         assert linalg.quadratic_form(TWO_EDGES.adjacency_matrix(), w) > 0
 
     def test_two_sided_certificate(self):
-        g = graphs.complete(3)
-        cert = minimal_c(g)
-        M = g.adjacency_matrix()
-        assert linalg.is_psd(cert.c_min * linalg.all_ones(3) - M).psd
-        below = cert.c_min - 2 * cert.tol_c
-        assert not linalg.is_psd(below * linalg.all_ones(3) - M).psd
+        # the Jacobi spectrum checks the structural verdict independently, on
+        # every labelled graph with 1..5 vertices and the criterion-1 families
+        corpus = [
+            graphs.from_edge_list(n, edges)
+            for n in range(1, 6)
+            for r in range(n * (n - 1) // 2 + 1)
+            for edges in itertools.combinations(itertools.combinations(range(n), 2), r)
+        ]
+        corpus += [graphs.star(k) for k in range(1, 9)]
+        corpus += [graphs.complete_bipartite(a, b) for a in range(1, 5) for b in range(1, 5)]
+        corpus += [graphs.complete_multipartite(sizes) for sizes in MULTIPARTITE_SIZES]
+        for g in corpus:
+            cert = minimal_c(g)
+            M = g.adjacency_matrix()
+            J = linalg.all_ones(g.n)
+            if cert.small:
+                assert linalg.is_psd(cert.c_min * J - M).psd, sorted(g.edges)
+                below = cert.c_min - 2e-7
+                assert not linalg.is_psd(below * J - M).psd, sorted(g.edges)
+            else:
+                w = cert.witness
+                assert abs(w.sum()) < 1e-9, sorted(g.edges)
+                assert linalg.quadratic_form(M, w) > 0, sorted(g.edges)
 
     def test_empty_graph_is_zero_small(self):
         cert = minimal_c(graphs.empty(4))
@@ -80,7 +105,9 @@ class TestMinimalC:
             g = graphs.random_gnp(7, 0.5, seed=seed)
             c1 = minimal_c(g)
             perm = list(rng.permutation(7))
-            c2 = minimal_c(g.relabel(perm))
+            h = g.relabel(perm)
+            assert all(type(u) is int for edge in h.edges for u in edge)
+            c2 = minimal_c(h)
             if c1.small:
                 assert c2.small and c2.c_min == pytest.approx(c1.c_min, abs=1e-6)
             else:
@@ -146,7 +173,8 @@ class TestRandomVectorProbe:
 
 
 def test_certificate_constructors():
-    small = SmallnessCertificate.of_small(0.5, 1e-7, 1e-9)
+    small = SmallnessCertificate.of_small(2)
     assert small.small and small.witness is None
-    not_small = SmallnessCertificate.of_not_small([1.0, -1.0], 1e-7, 1e-9)
-    assert not not_small.small and not_small.c_min is None
+    assert small.parts == 2 and small.c_min == 0.5
+    not_small = SmallnessCertificate.of_not_small([1.0, 1.0, -2.0])
+    assert not not_small.small and not_small.c_min is None and not_small.parts is None

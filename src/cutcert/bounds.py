@@ -6,6 +6,11 @@ This module evaluates that coefficient, the p-dependent intermediate bound
 it is distilled from, the piecewise refinement that keeps the dropped
 c*p*q*n term, and the residuals of every algebraic identity used along the
 way.
+
+The formulas carry no float literals, so a ``fractions.Fraction`` c (with
+integer e and n) gives exact values and exact case splits, while a float c
+gives floats. A float such as 2/3 lies an ulp below the rational 2/3, and the
+answers for it follow that float, not the rational it approximates.
 """
 from __future__ import annotations
 
@@ -29,9 +34,9 @@ class BoundDomainError(ValueError):
 
 def lambda_value(c: float) -> float:
     """Cut-bound coefficient 2(1-c)/(1+c); decreasing from 2 to 0 on [0,1)."""
-    if not 0.0 <= c < 1.0:
+    if not 0 <= c < 1:
         raise BoundDomainError(f"coefficient defined for 0 <= c < 1, got {c}")
-    return 2.0 * (1.0 - c) / (1.0 + c)
+    return 2 * (1 - c) / (1 + c)
 
 
 def intermediate_bound(c: float, e: float, n: float, p: float) -> float:
@@ -39,22 +44,22 @@ def intermediate_bound(c: float, e: float, n: float, p: float) -> float:
 
     [2(1-c)(1-2p+2p^2) e + c(p-p^2) n] / [c + 2(1-c)(p-p^2)].
     """
-    if not 0.0 <= c < 1.0:
+    if not 0 <= c < 1:
         raise BoundDomainError(f"need 0 <= c < 1, got {c}")
-    if not 0.0 < p < 1.0:
+    if not 0 < p < 1:
         raise BoundDomainError(f"need 0 < p < 1, got {p}")
     pq = p - p * p
-    denom = c + 2.0 * (1.0 - c) * pq
-    if denom <= 0.0:
+    denom = c + 2 * (1 - c) * pq
+    if denom <= 0:
         raise BoundDomainError(f"degenerate denominator {denom} at c={c}, p={p}")
-    return (2.0 * (1.0 - c) * (1.0 - 2.0 * pq) * e + c * pq * n) / denom
+    return (2 * (1 - c) * (1 - 2 * pq) * e + c * pq * n) / denom
 
 
 def case_threshold(c: float, n: float) -> float:
     """Edge-count threshold c^2 n / (4(1-c)) separating the two refined cases."""
-    if not 0.0 < c < 1.0:
+    if not 0 < c < 1:
         raise BoundDomainError(f"threshold defined for 0 < c < 1, got {c}")
-    return c * c * n / (4.0 * (1.0 - c))
+    return c * c * n / (4 * (1 - c))
 
 
 def refined_bound(c: float, e: float, n: float, variant: str = AS_STATED) -> float:
@@ -64,16 +69,16 @@ def refined_bound(c: float, e: float, n: float, variant: str = AS_STATED) -> flo
     (c/4) n as stated, or the exact balanced-cut minimum c n / (2(1+c)) for
     the tight variant. At or below the threshold: 2(1-c)/c * e.
     """
-    if not 0.0 < c < 1.0:
+    if not 0 < c < 1:
         raise BoundDomainError(f"refined bound defined for 0 < c < 1, got {c}")
     if e < 0 or n < 1:
         raise BoundDomainError(f"need e >= 0 and n >= 1, got e={e}, n={n}")
     if variant not in (AS_STATED, TIGHT):
         raise BoundDomainError(f"unknown variant {variant!r}")
     if e > case_threshold(c, n):
-        additive = c * n / (2.0 * (1.0 + c)) if variant == TIGHT else c * n / 4.0
+        additive = c * n / (2 * (1 + c)) if variant == TIGHT else c * n / 4
         return lambda_value(c) * e + additive
-    return 2.0 * (1.0 - c) / c * e
+    return 2 * (1 - c) / c * e
 
 
 def f_minimizer_location(c: float, e: float, n: float) -> str:
@@ -83,12 +88,12 @@ def f_minimizer_location(c: float, e: float, n: float) -> str:
     second factor pushes the minimum to p = 1/2, a negative one to the
     endpoints; a zero factor leaves the bound constant in p.
     """
-    if not 0.0 < c < 1.0:
+    if not 0 < c < 1:
         raise BoundDomainError(f"need 0 < c < 1, got {c}")
-    factor = 4.0 * (1.0 - c) * e - c * c * n
-    if factor > 0.0:
+    factor = 4 * (1 - c) * e - c * c * n
+    if factor > 0:
         return INTERIOR
-    if factor < 0.0:
+    if factor < 0:
         return ENDPOINTS
     return FLAT
 

@@ -258,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--mode", choices=("identities", "sparsity", "fiedler"),
                    default="identities")
-    p.add_argument("--all-cuts", action="store_true",
-                   help="identities mode always audits all cuts; flag kept for clarity")
     _add_common(p)
     p.set_defaults(func=cmd_report)
     return parser

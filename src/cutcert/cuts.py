@@ -21,7 +21,6 @@ from .partitions import (
 )
 
 EXHAUSTIVE_CAP = 26
-VIOLATION_TOL = 1e-9
 
 KIND_BASE = "base"
 KIND_REFINED = "refined"
@@ -186,18 +185,22 @@ class VerificationReport:
         }
 
 
-def _bound_values(kind: str, variant: str, c: float, n: int, e_min: np.ndarray):
+def _bound_tables(kind: str, variant: str, c, graph: Graph):
+    """The bound at every possible e_min = 0..m//2, from the exact c.
+
+    Returns (need, value): a cut passes iff crossing >= need[e_min], the
+    ceiling of the exact bound (crossing is an integer), and value[e_min] is
+    the bound correctly rounded to a float for reports.
+    """
+    es = range(graph.m // 2 + 1)
     if kind == KIND_BASE:
-        return bounds.lambda_value(c) * e_min
-    if kind == KIND_REFINED:
-        t = bounds.case_threshold(c, n)
-        additive = c * n / (2.0 * (1.0 + c)) if variant == bounds.TIGHT else c * n / 4.0
-        above = bounds.lambda_value(c) * e_min + additive
-        below = 2.0 * (1.0 - c) / c * e_min
-        # at c = (k-1)/k the threshold (k-1)^2 n / 4k can equal a whole e_min,
-        # which then belongs below; rounding of c may put t an ulp under it
-        return np.where(e_min > t + VIOLATION_TOL, above, below)
-    raise ValueError(f"unknown bound kind {kind!r}")
+        lam = bounds.lambda_value(c)
+        exact = [lam * e for e in es]
+    elif kind == KIND_REFINED:
+        exact = [bounds.refined_bound(c, e, graph.n, variant) for e in es]
+    else:
+        raise ValueError(f"unknown bound kind {kind!r}")
+    return np.array([math.ceil(b) for b in exact]), np.array([float(b) for b in exact])
 
 
 def _inapplicable(graph, partition, kind, variant, mode, seed, trials, reason, dom):
@@ -227,13 +230,10 @@ def _evaluate(graph, partition, kind, variant, mask_chunks, mode, seed, trials, 
     if not cert.small:
         reason = f"block {cert.offending_block} is not c-small for any c"
         return _inapplicable(graph, partition, kind, variant, mode, seed, trials, reason, dom)
-    c = cert.c
-    if c >= 1.0:
-        reason = f"certificate c={c:.9g} >= 1 makes the bound vacuous"
-        return _inapplicable(graph, partition, kind, variant, mode, seed, trials, reason, dom)
-    if kind == KIND_REFINED and c <= 0.0:
+    if kind == KIND_REFINED and cert.c == 0:
         reason = "refined bound needs c > 0 (graph has no edges)"
         return _inapplicable(graph, partition, kind, variant, mode, seed, trials, reason, dom)
+    need, value = _bound_tables(kind, variant, cert.c, graph)
 
     worst = math.inf
     examined = 0
@@ -242,14 +242,14 @@ def _evaluate(graph, partition, kind, variant, mask_chunks, mode, seed, trials, 
     for masks in mask_chunks:
         e_in, e_out, crossing = _mask_stats(graph, masks)
         e_min = np.minimum(e_in, e_out)
-        bound = _bound_values(kind, variant, c, graph.n, e_min)
+        passes = crossing >= need[e_min]
+        bound = value[e_min]
         examined += len(masks)
-        positive = bound > VIOLATION_TOL
+        positive = bound > 0
         if positive.any():
             ratios = crossing[positive] / bound[positive]
             worst = min(worst, float(ratios.min()))
-        bad = np.nonzero(crossing < bound - VIOLATION_TOL)[0]
-        for i in bad:
+        for i in np.nonzero(~passes)[0]:
             mask = int(masks[i])
             violations.append(
                 Violation(
@@ -262,19 +262,15 @@ def _evaluate(graph, partition, kind, variant, mask_chunks, mode, seed, trials, 
                 )
             )
         if keep_rows:
-            passes = crossing >= bound - VIOLATION_TOL
-            rows.extend(
-                (int(masks[i]), int(e_in[i]), int(e_out[i]), int(crossing[i]),
-                 float(bound[i]), bool(passes[i]))
-                for i in range(len(masks))
-            )
+            rows.extend(zip(masks.tolist(), e_in.tolist(), e_out.tolist(),
+                            crossing.tolist(), bound.tolist(), passes.tolist()))
     return VerificationReport(
         graph_n=graph.n,
         graph_edges=graph.m,
         partition_blocks=len(partition.blocks),
         applicable=True,
         reason=None,
-        c=c,
+        c=float(cert.c),
         bound_kind=kind,
         variant=variant,
         degree_dominance_ok=dom.ok,

@@ -207,9 +207,6 @@ def random_gnp(n: int, prob: float, seed: int) -> Graph:
     return from_edge_list(n, pairs)
 
 
-DESIGN_PATTERNS = ("complete", "complete-bipartite-halves", "star-at-first", "empty")
-
-
 def _pattern_edges(block: Sequence[int], pattern: str) -> list[tuple[int, int]]:
     b = sorted(block)
     if pattern == "complete":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -125,11 +126,13 @@ def replication_degree_check(graph: Graph, partition: PairPartition) -> DegreeDo
 
 @dataclass(frozen=True)
 class PartitionCertificate:
-    """Smallest uniform c making every induced block subgraph c-small."""
+    """Smallest uniform c making every induced block subgraph c-small.
+
+    c = (k-1)/k exactly, k the largest part count over the blocks.
+    """
 
     small: bool
-    c: float | None
-    block_values: tuple
+    c: Fraction | None
     offending_block: int | None
     witness: object
 
@@ -142,13 +145,13 @@ def partition_certificate(graph: Graph, partition: PairPartition) -> PartitionCe
         raise PartitionError(
             f"size mismatch: graph has {graph.n} vertices, partition {partition.n}"
         )
-    values = []
+    k = 1
     for i, block in enumerate(partition.blocks):
         cert = smallness.minimal_c(graph.induced_subgraph(block))
         if not cert.small:
-            return PartitionCertificate(False, None, tuple(values), i, cert.witness)
-        values.append(cert.c_min)
-    return PartitionCertificate(True, max(values, default=0.0), tuple(values), None, None)
+            return PartitionCertificate(False, None, i, cert.witness)
+        k = max(k, cert.parts)
+    return PartitionCertificate(True, Fraction(k - 1, k), None, None)
 
 
 # ---------------------------------------------------------------------------

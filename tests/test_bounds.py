@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,11 @@ class TestLambdaValue:
 
     def test_three_quarters(self):
         assert lambda_value(0.75) == pytest.approx(2 / 7)
+
+    def test_exact_at_part_counts(self):
+        # c = (k-1)/k gives lambda = 2/(2k-1) exactly
+        for k in range(1, 12):
+            assert lambda_value(Fraction(k - 1, k)) == Fraction(2, 2 * k - 1)
 
     def test_strictly_decreasing(self):
         grid = np.linspace(0.0, 0.99, 100)
@@ -65,6 +72,7 @@ class TestCaseThreshold:
         assert case_threshold(0.5, 12) == pytest.approx(1.5)
         assert case_threshold(0.5, 0) == 0.0
         assert case_threshold(2 / 3, 9) == pytest.approx(3.0)
+        assert case_threshold(Fraction(2, 3), 9) == 3
 
     def test_domain(self):
         for c in (0.0, 1.0):
@@ -79,6 +87,11 @@ class TestRefinedBound:
     def test_below_threshold_both_variants(self):
         assert refined_bound(0.5, 1, 12, AS_STATED) == pytest.approx(2.0)
         assert refined_bound(0.5, 1, 12, TIGHT) == pytest.approx(2.0)
+
+    def test_exact_threshold_tie_takes_low_branch(self):
+        # e = 3 sits exactly on the threshold (2/3)^2 * 9 / (4/3) = 3
+        assert refined_bound(Fraction(2, 3), 3, 9) == 3
+        assert refined_bound(Fraction(2, 3), 3, 9, TIGHT) == 3
 
     def test_above_threshold_tight(self):
         assert refined_bound(0.5, 3, 12, TIGHT) == pytest.approx(4.0)
@@ -142,6 +155,8 @@ class TestMinimizerLocation:
     def test_flat_tie(self):
         # 4(1-c)e = c^2 n exactly at c = 0.5, e = 1, n = 8
         assert f_minimizer_location(0.5, 1, 8) == FLAT
+        # 4(1-c)e = c^2 n = 4 at c = 2/3, e = 3, n = 9
+        assert f_minimizer_location(Fraction(2, 3), 3, 9) == FLAT
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)

@@ -175,9 +175,9 @@ class TestReport:
         assert code == 0
         assert "fiedler_value = 4.000000" in out
 
-    def test_identities_all_cuts(self, capsys):
+    def test_identities(self, capsys):
         code, out, _ = run(capsys, "report", "--gen", "path:3",
-                           "--mode", "identities", "--all-cuts", "--format", "json")
+                           "--mode", "identities", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert payload["cuts_examined"] == 3

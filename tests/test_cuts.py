@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from test_acceptance import _random_design_instance
 
 from cutcert import bounds, graphs, partitions
 from cutcert.cuts import (
@@ -82,7 +84,7 @@ class TestVerifyBound:
         g = graphs.design_graph(9, p.blocks, "complete")
         report = verify_bound(g, p, kind="refined", keep_rows=True)
         tied = [bound for _, e_in, e_out, _, bound, _ in report.rows if min(e_in, e_out) == 3]
-        assert tied and all(bound == pytest.approx(3.0, abs=1e-9) for bound in tied)
+        assert tied and all(bound == 3.0 for bound in tied)
 
     def test_not_small_block_inapplicable(self):
         g = graphs.from_edge_list(4, [(0, 1), (2, 3)])
@@ -127,6 +129,54 @@ class TestVerifyBound:
         assert report.violations == ()
         profile = sparsity_profile(g)
         assert profile.ratio >= bounds.lambda_value(report.c) - 1e-9
+
+
+def _integer_verdicts(kind, variant, k, n, e_min, crossing):
+    """Pass flags from the bound's integer forms at c = (k-1)/k."""
+    if kind == "base":
+        return (2 * k - 1) * crossing >= 2 * e_min
+    above = 4 * k * e_min > (k - 1) ** 2 * n
+    if variant == bounds.TIGHT:
+        high = 2 * (2 * k - 1) * crossing >= 4 * e_min + (k - 1) * n
+    else:
+        high = 4 * k * (2 * k - 1) * crossing >= 8 * k * e_min + (k - 1) * (2 * k - 1) * n
+    return np.where(above, high, (k - 1) * crossing >= 2 * e_min)
+
+
+def test_verdicts_match_integer_forms():
+    # the criterion-2/3 corpora, plus G(10, 1/2) on all pairs, whose many
+    # cuts with crossing just under a fractional bound tell ceil from floor
+    p9 = partitions.affine_plane(3)
+    corpora = [
+        (graphs.complete(5), partitions.near_pencil(5)),
+        (graphs.design_graph(9, p9.blocks, "complete"), p9),
+        (BOWTIE_BRIDGE, partitions.all_pairs_partition(6)),
+    ]
+    corpora += [(graphs.complete(n), partitions.trivial_partition(n)) for n in range(3, 13)]
+    rng = np.random.default_rng(2024)
+    corpora += [_random_design_instance(rng) for _ in range(50)]
+    corpora += [(graphs.random_gnp(10, 0.5, seed), partitions.all_pairs_partition(10))
+                for seed in range(5)]
+    runs = [("base", bounds.AS_STATED), ("refined", bounds.AS_STATED),
+            ("refined", bounds.TIGHT)]
+    checked = 0
+    for i, (g, p) in enumerate(corpora):
+        for kind, variant in runs:
+            report = verify_bound(g, p, kind=kind, variant=variant, keep_rows=True)
+            k = round(1 / (1 - report.c))
+            assert report.c == (k - 1) / k, f"corpus {i}"
+            rows = np.array(report.rows, dtype=object)
+            mask, e_in, e_out, crossing = (rows[:, j].astype(np.int64) for j in range(4))
+            bound, passes = rows[:, 4].astype(float), rows[:, 5].astype(bool)
+            e_min = np.minimum(e_in, e_out)
+            expected = _integer_verdicts(kind, variant, k, g.n, e_min, crossing)
+            assert (passes == expected).all(), f"corpus {i}, {kind} {variant}"
+            assert sorted(v.bitmask for v in report.violations) == sorted(mask[~expected])
+            positive = bound > 0
+            worst = (crossing[positive] / bound[positive]).min() if positive.any() else math.inf
+            assert report.worst_ratio == worst, f"corpus {i}, {kind} {variant}"
+            checked += len(rows)
+    assert checked > 100_000
 
 
 class TestSampleCutsVerify:

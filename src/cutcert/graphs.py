@@ -29,13 +29,27 @@ class Graph:
     n: int
     edges: frozenset  # frozenset of (u, v) tuples with u < v
 
+    def __post_init__(self):
+        for edge in self.edges:
+            if not (isinstance(edge, tuple) and len(edge) == 2
+                    and all(isinstance(x, int) for x in edge)
+                    and 0 <= edge[0] < edge[1] < self.n):
+                raise GraphInputError(
+                    f"edge {edge!r} is not a pair of ints u < v in [0,{self.n})"
+                )
+
+    @cached_property
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Neighbourhood of each vertex as a bitmask: bit w of entry v is edge vw."""
+        adj = [0] * self.n
+        for u, v in self.edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return tuple(adj)
+
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        d = [0] * self.n
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return tuple(d)
+        return tuple(nbrs.bit_count() for nbrs in self.adjacency_masks)
 
     @property
     def m(self) -> int:

@@ -68,10 +68,7 @@ def _structure(graph: Graph):
     (None, x) with x = (1, 1, -2) on an edge uw and a vertex v adjacent to
     neither: sum(x) = 0 and x^t M x = 2.
     """
-    adj = [0] * graph.n
-    for u, w in graph.edges:
-        adj[u] |= 1 << w
-        adj[w] |= 1 << u
+    adj = graph.adjacency_masks
     groups = {}
     for v, nbrs in enumerate(adj):
         groups[nbrs] = groups.get(nbrs, 0) | 1 << v

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from test_acceptance import _random_design_instance
 from cutcert import bounds, graphs, partitions
 from cutcert.cuts import (
     CutCapError,
+    _mask_stats,
+    _sampled_masks,
     enumerate_cuts,
     fiedler_value,
     sample_cuts_verify,
@@ -37,6 +40,46 @@ class TestEnumerateCuts:
     def test_cap(self):
         with pytest.raises(CutCapError, match="sampling"):
             list(enumerate_cuts(graphs.empty(27)))
+
+
+def _assert_kernel_matches_cut_stats(g, masks):
+    e_in, e_out, crossing = _mask_stats(g, masks)
+    assert e_in.shape == e_out.shape == crossing.shape == masks.shape
+    for i, mask in enumerate(masks.tolist()):
+        stats = graphs.cut_stats(g, (v for v in range(g.n) if mask >> v & 1))
+        got = (int(e_in[i]), int(e_out[i]), int(crossing[i]))
+        assert got == (stats.e_in, stats.e_out, stats.crossing), f"mask {mask:#x}"
+
+
+class TestMaskStats:
+    def test_every_cut_of_every_small_graph(self):
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            masks = np.arange(1 << n, dtype=np.int64)
+            for bits in range(1 << len(pairs)):
+                g = graphs.from_edge_list(n, (e for i, e in enumerate(pairs) if bits >> i & 1))
+                _assert_kernel_matches_cut_stats(g, masks)
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(7)
+        for n, prob, seed in [(6, 0.5, 0), (9, 0.3, 1), (12, 0.5, 2), (12, 0.9, 3),
+                              (10, 0.0, 4)]:
+            g = graphs.random_gnp(n, prob, seed)
+            masks = rng.integers(0, 1 << n, size=300, dtype=np.int64)
+            _assert_kernel_matches_cut_stats(g, masks)
+
+    def test_order_one_and_no_masks(self):
+        _assert_kernel_matches_cut_stats(graphs.empty(1), np.array([1], dtype=np.int64))
+        _assert_kernel_matches_cut_stats(graphs.empty(1), np.array([], dtype=np.int64))
+        _assert_kernel_matches_cut_stats(graphs.complete(4), np.array([], dtype=np.int64))
+
+    def test_top_bit_at_62_vertices(self):
+        # sampling allows n = 62, so masks use bit 61 of an int64
+        top = 1 << 61
+        extremes = np.array([1 | top, (1 << 62) - 1 - top, (1 << 62) - 1], dtype=np.int64)
+        masks = np.concatenate([extremes, *_sampled_masks(62, 200, seed=5)])
+        for g in [graphs.complete(62), graphs.from_edge_list(62, [(0, 61), (60, 61)])]:
+            _assert_kernel_matches_cut_stats(g, masks)
 
 
 class TestVerifyBound:

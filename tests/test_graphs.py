@@ -46,6 +46,23 @@ def test_endpoint_out_of_range():
         from_edge_list(3, [(0, 3)])
 
 
+def test_direct_construction_rejects_noncanonical_duplicate():
+    # (1, 0) is the edge (0, 1) again; counted twice it would make m = 2
+    with pytest.raises(GraphInputError, match=r"\(1, 0\)"):
+        graphs.Graph(3, frozenset({(0, 1), (1, 0)}))
+
+
+def test_direct_construction_rejects_endpoint_out_of_range():
+    with pytest.raises(GraphInputError, match=r"\(0, 3\)"):
+        graphs.Graph(3, frozenset({(0, 1), (0, 3)}))
+
+
+def test_adjacency_masks():
+    g = from_edge_list(4, [(0, 1), (0, 2), (2, 3)])
+    assert g.adjacency_masks == (0b0110, 0b0001, 0b1001, 0b0100)
+    assert graphs.empty(3).adjacency_masks == (0, 0, 0)
+
+
 def test_degree_sum_is_twice_edge_count():
     g = graphs.random_gnp(9, 0.4, seed=3)
     assert sum(g.degrees) == 2 * g.m

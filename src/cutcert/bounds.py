@@ -133,7 +133,7 @@ def identity_suite(graph: Graph, members) -> dict[str, float]:
     p, q, n = cut.p, cut.q, graph.n
     d = np.asarray(graph.degrees, dtype=float)
     A = graph.adjacency_matrix()
-    L = graph.laplacian_matrix()
+    L = np.diag(d) - A
 
     xLx = float(x @ L @ x)
     xAx = float(x @ A @ x)

@@ -90,19 +90,14 @@ def _resolve_partition(spec: str, n: int) -> partitions.PairPartition:
 # Output
 
 
-def _emit(payload: dict, fmt: str, csv_rows=None, csv_header=None):
+def _emit(payload: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, allow_nan=False))
         return
     if fmt == "csv":
-        if csv_rows is not None:
-            print(csv_header)
-            for row in csv_rows:
-                print(",".join(str(x) for x in row))
-        else:
-            print("key,value")
-            for key, value in _flatten(payload):
-                print(f"{key},{value}")
+        print("key,value")
+        for key, value in _flatten(payload):
+            print(f"{key},{value}")
         return
     for key, value in _flatten(payload):
         print(f"{key} = {_round6(value)}")
@@ -135,7 +130,7 @@ def cmd_certify(args) -> int:
     graph = _resolve_graph(args)
     cert = smallness.minimal_c(graph)
     if cert.small:
-        payload = {"verdict": "small", "c_min": cert.c_min}
+        payload = {"verdict": "small", "c_min": float(cert.c_min)}
         _emit(payload, args.format)
         return EXIT_OK
     payload = {"verdict": "not-small-for-any-c", "witness": [float(w) for w in cert.witness]}
@@ -170,12 +165,14 @@ def cmd_verify(args) -> int:
         report = cuts.verify_bound(
             graph, partition, kind=args.bound, variant=args.variant, keep_rows=keep_rows,
         )
-    _emit(
-        report.to_dict(), args.format,
-        csv_rows=[(m, ei, eo, cr, repr(b), "pass" if ok else "fail")
-                  for m, ei, eo, cr, b, ok in report.rows],
-        csv_header="cut_bitmask,e_in,e_out,crossing,bound,pass",
-    )
+    if keep_rows:
+        print("cut_bitmask,e_in,e_out,crossing,bound,pass")
+        sys.stdout.writelines(
+            f"{mask},{e_in},{e_out},{crossing},{bound!r},{'pass' if ok else 'fail'}\n"
+            for mask, e_in, e_out, crossing, bound, ok in report.rows
+        )
+    else:
+        _emit(report.to_dict(), args.format)
     if not report.applicable:
         return EXIT_INAPPLICABLE
     return EXIT_OK if not report.violations else EXIT_NEGATIVE
@@ -190,10 +187,8 @@ def cmd_report(args) -> int:
         profile = cuts.sparsity_profile(graph)
         payload = {
             "min_ratio": profile.ratio,
-            "argmin_cut": sorted(profile.argmin) if profile.argmin is not None else None,
-            "argmin_bitmask": (
-                sum(1 << v for v in profile.argmin) if profile.argmin is not None else None
-            ),
+            "argmin_cut": list(profile.members) if profile.members is not None else None,
+            "argmin_bitmask": profile.bitmask,
         }
         _emit(payload, args.format)
         return EXIT_OK
@@ -201,8 +196,6 @@ def cmd_report(args) -> int:
     worst = {name: 0.0 for name in bounds.IDENTITY_NAMES}
     examined = 0
     for S in cuts.enumerate_cuts(graph):
-        if len(S) == graph.n:
-            continue
         residuals = bounds.identity_suite(graph, S)
         for name, value in residuals.items():
             worst[name] = max(worst[name], value)

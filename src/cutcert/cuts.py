@@ -49,14 +49,6 @@ def _cut_count(n: int) -> int:
     return (1 << (n - 1)) - 1 if n > 1 else 0
 
 
-def enumerate_cuts(graph: Graph):
-    """Yield each nontrivial unordered cut once, as the side containing 0."""
-    n = graph.n
-    for t in range(_cut_count(n)):
-        mask = 1 | (t << 1)
-        yield frozenset(v for v in range(n) if mask >> v & 1)
-
-
 def _exhaustive_masks(n: int):
     total = _cut_count(n)
     for start in range(0, total, _CHUNK):
@@ -85,6 +77,13 @@ def _mask_members(mask: int, n: int) -> tuple[int, ...]:
     return tuple(v for v in range(n) if mask >> v & 1)
 
 
+def enumerate_cuts(graph: Graph):
+    """Yield each nontrivial unordered cut once, as the side containing 0."""
+    for masks in _exhaustive_masks(graph.n):
+        for mask in masks.tolist():
+            yield frozenset(_mask_members(mask, graph.n))
+
+
 def fiedler_value(graph: Graph) -> float:
     """Second smallest Laplacian eigenvalue (algebraic connectivity)."""
     if graph.n < 2:
@@ -97,11 +96,12 @@ class SparsityProfile:
     """Smallest crossing / e_min over nontrivial cuts with e_min > 0.
 
     ratio None means no cut has edges on both sides ("unbounded": any
-    coefficient works for this graph).
+    coefficient works for this graph); the argmin cut is then None too.
     """
 
     ratio: float | None
-    argmin: frozenset | None
+    members: tuple | None
+    bitmask: int | None
 
 
 def sparsity_profile(graph: Graph) -> SparsityProfile:
@@ -119,8 +119,8 @@ def sparsity_profile(graph: Graph) -> SparsityProfile:
             best = float(ratios[i])
             best_cut = int(mask_chunk[ok][i])
     if best is None:
-        return SparsityProfile(None, None)
-    return SparsityProfile(best, frozenset(_mask_members(best_cut, graph.n)))
+        return SparsityProfile(None, None, None)
+    return SparsityProfile(best, _mask_members(best_cut, graph.n), best_cut)
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +167,6 @@ class VerificationReport:
     violations: tuple
     rows: tuple = field(default=(), repr=False)
 
-    @property
-    def holds(self) -> bool:
-        return self.applicable and not self.violations
-
     def to_dict(self):
         return {
             "graph": {"n": self.graph_n, "edges": self.graph_edges},
@@ -209,42 +205,24 @@ def _bound_tables(kind: str, variant: str, c, graph: Graph):
     return np.array([math.ceil(b) for b in exact]), np.array([float(b) for b in exact])
 
 
-def _inapplicable(graph, partition, kind, variant, mode, seed, trials, reason, dom):
-    return VerificationReport(
-        graph_n=graph.n,
-        graph_edges=graph.m,
-        partition_blocks=len(partition.blocks),
-        applicable=False,
-        reason=reason,
-        c=None,
-        bound_kind=kind,
-        variant=variant,
-        degree_dominance_ok=dom.ok,
-        degree_dominance_failures=dom.failing_vertices,
-        mode=mode,
-        seed=seed,
-        trials=trials,
-        cuts_examined=0,
-        worst_ratio=math.inf,
-        violations=(),
-    )
-
-
 def _evaluate(graph, partition, kind, variant, mask_chunks, mode, seed, trials, keep_rows):
+    """The report over the given cuts; an inapplicable bound examines none."""
     dom = replication_degree_check(graph, partition)
     cert = partition_certificate(graph, partition)
+    reason = None
     if not cert.small:
         reason = f"block {cert.offending_block} is not c-small for any c"
-        return _inapplicable(graph, partition, kind, variant, mode, seed, trials, reason, dom)
-    if kind == KIND_REFINED and cert.c == 0:
+    elif kind == KIND_REFINED and cert.c == 0:
         reason = "refined bound needs c > 0 (graph has no edges)"
-        return _inapplicable(graph, partition, kind, variant, mode, seed, trials, reason, dom)
-    need, value = _bound_tables(kind, variant, cert.c, graph)
 
     worst = math.inf
     examined = 0
     violations = []
     rows = []
+    if reason is None:
+        need, value = _bound_tables(kind, variant, cert.c, graph)
+    else:
+        mask_chunks = ()
     for masks in mask_chunks:
         e_in, e_out, crossing = _mask_stats(graph, masks)
         e_min = np.minimum(e_in, e_out)
@@ -274,9 +252,9 @@ def _evaluate(graph, partition, kind, variant, mask_chunks, mode, seed, trials, 
         graph_n=graph.n,
         graph_edges=graph.m,
         partition_blocks=len(partition.blocks),
-        applicable=True,
-        reason=None,
-        c=float(cert.c),
+        applicable=reason is None,
+        reason=reason,
+        c=None if reason else float(cert.c),
         bound_kind=kind,
         variant=variant,
         degree_dominance_ok=dom.ok,

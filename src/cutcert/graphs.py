@@ -138,9 +138,6 @@ class Cut:
         x[sorted(self.members)] = self.q
         return x
 
-    def complement(self) -> frozenset:
-        return frozenset(range(self.n)) - self.members
-
 
 @dataclass(frozen=True)
 class CutStats:

@@ -145,13 +145,13 @@ def partition_certificate(graph: Graph, partition: PairPartition) -> PartitionCe
         raise PartitionError(
             f"size mismatch: graph has {graph.n} vertices, partition {partition.n}"
         )
-    k = 1
+    c = Fraction(0)
     for i, block in enumerate(partition.blocks):
         cert = smallness.minimal_c(graph.induced_subgraph(block))
         if not cert.small:
             return PartitionCertificate(False, None, i, cert.witness)
-        k = max(k, cert.parts)
-    return PartitionCertificate(True, Fraction(k - 1, k), None, None)
+        c = max(c, cert.c_min)
+    return PartitionCertificate(True, c, None, None)
 
 
 # ---------------------------------------------------------------------------

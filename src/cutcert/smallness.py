@@ -10,6 +10,7 @@ bipartite, complete multipartite).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,27 +27,24 @@ class SmallnessCertificate:
     """Either Small(c_min) or NotSmallForAnyC(witness).
 
     A small graph is complete multipartite with ``parts`` parts (an edgeless
-    graph has one part, the order-0 graph none), and c_min = (parts-1)/parts
-    exactly. A NotSmallForAnyC witness w has sum(w) = 0 and w^t M w = 2 > 0,
-    which rules out every finite c at once.
+    graph has one part, the order-0 graph none), and c_min is the exact
+    Fraction (parts-1)/parts (0 with no parts). A NotSmallForAnyC witness w
+    has sum(w) = 0 and w^t M w = 2 > 0, which rules out every finite c at once.
     """
 
     small: bool
-    c_min: float | None
+    c_min: Fraction | None
     witness: np.ndarray | None
     parts: int | None
 
     @staticmethod
     def of_small(parts):
-        return SmallnessCertificate(True, _c_of_parts(parts), None, parts)
+        c_min = Fraction(parts - 1, parts) if parts else Fraction(0)
+        return SmallnessCertificate(True, c_min, None, parts)
 
     @staticmethod
     def of_not_small(witness):
         return SmallnessCertificate(False, None, np.asarray(witness, float), None)
-
-
-def _c_of_parts(k: int) -> float:
-    return (k - 1) / k if k else 0.0
 
 
 def _low_bit(x: int) -> int:
@@ -93,7 +91,8 @@ def is_c_small(graph: Graph, c: float):
 
     The violating x has x^t M x > c (sum x)^2: the (1, 1, -2) witness of a
     graph not small for any c, or x_v = 1/(k |part(v)|), which sums to 1
-    with x^t M x = 1 - 1/k.
+    with x^t M x = 1 - 1/k. c is compared with (k-1)/k exactly, so a float c
+    counts at its exact binary value.
     """
     if c < 0:
         raise ValueError(f"smallness constant must be nonnegative, got {c}")
@@ -101,7 +100,7 @@ def is_c_small(graph: Graph, c: float):
     if witness is not None:
         return False, witness
     k = len(parts)
-    if c >= _c_of_parts(k):
+    if c >= SmallnessCertificate.of_small(k).c_min:
         return True, None
     x = np.zeros(graph.n)
     for part in parts:

@@ -1,6 +1,12 @@
+import contextlib
+import io
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutcert import graphs
 from cutcert.cli import main
@@ -159,6 +165,38 @@ class TestVerify:
         assert len(lines) == 8
         assert all(line.endswith(",pass") for line in lines[1:])
 
+    @pytest.mark.parametrize("seed", [1, 4, 7])
+    def test_csv_rows_match_independent_cut_stats(self, capsys, seed):
+        # all-pairs blocks are single edges or non-edges: c = 1/2 when the
+        # graph has an edge, and the base bound is 2(1-c)/(1+c) * e_min
+        n = 8
+        g = graphs.random_gnp(n, 0.5, seed)
+        c = Fraction(1, 2) if g.m else Fraction(0)
+        lam = 2 * (1 - c) / (1 + c)
+        expected = ["cut_bitmask,e_in,e_out,crossing,bound,pass"]
+        rest = range(1, n)
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(rest, r) for r in range(n - 1))
+        for mask, members in sorted((1 + sum(1 << v for v in sub), (0, *sub))
+                                    for sub in subsets):
+            stats = graphs.cut_stats(g, members)
+            bound = lam * min(stats.e_in, stats.e_out)
+            verdict = "pass" if stats.crossing >= bound else "fail"
+            expected.append(f"{mask},{stats.e_in},{stats.e_out},{stats.crossing},"
+                            f"{float(bound)!r},{verdict}")
+        code, out, _ = run(capsys, "verify", "--gen", f"gnp:{n},0.5,{seed}",
+                           "--partition", "all-pairs", "--format", "csv")
+        assert out == "\n".join(expected) + "\n"
+        assert code == (3 if "fail" in out else 0)
+
+    def test_csv_inapplicable_prints_only_header(self, capsys, tmp_path):
+        f = tmp_path / "two_edges.txt"
+        f.write_text("4 2\n0 1\n2 3\n")
+        code, out, _ = run(capsys, "verify", "--graph", str(f),
+                           "--partition", "trivial", "--format", "csv")
+        assert code == 4
+        assert out == "cut_bitmask,e_in,e_out,crossing,bound,pass\n"
+
     def test_json_byte_identical(self, capsys):
         argv = ["verify", "--gen", "gnp:8,0.5,42", "--partition", "all-pairs",
                 "--mode", "sample", "--trials", "200", "--seed", "11",
@@ -214,3 +252,108 @@ def test_gnp_spec_matches_library(capsys):
                        "--format", "json")
     lib = graphs.random_gnp(10, 0.5, 42)
     assert code in (0, 3)
+
+
+# ---------------------------------------------------------------------------
+# Robustness: every CLI input ends in a documented exit code
+
+
+EXIT_CODES = {0, 2, 3, 4}
+FORMATS = st.sampled_from(["human", "json", "csv"])
+SIZES = st.integers(0, 8)
+GEN_SPECS = st.one_of(
+    st.sampled_from(["empty:0", "star:0", "gnp:5,2,1", "complete:", "moebius:3",
+                     "bipartite:0,2", "multipartite:", "path:-1", "gnp:4,0.5"]),
+    st.builds("star:{}".format, st.integers(0, 7)),
+    st.builds("complete:{}".format, SIZES),
+    st.builds("path:{}".format, SIZES),
+    st.builds("empty:{}".format, SIZES),
+    st.builds("bipartite:{},{}".format, st.integers(1, 4), st.integers(1, 4)),
+    st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+        lambda sizes: "multipartite:" + ",".join(map(str, sizes))),
+    st.builds("gnp:{},{},{}".format, SIZES, st.sampled_from([0, 0.3, 0.5, 1]),
+              st.integers(0, 50)),
+)
+PARTITIONS = st.one_of(st.sampled_from(["trivial", "all-pairs", "near-pencil"]),
+                       st.sampled_from(["affine:2", "affine:3", "affine:x", "affine:4"]))
+
+GRAPH_FILES = {
+    "bowtie": BOWTIE_EDGES,
+    "two_edges": "4 2\n0 1\n2 3\n",
+    "k5": "5 10\n" + "".join(f"{u} {v}\n" for u, v in itertools.combinations(range(5), 2)),
+    "order_zero": "0 0\n",
+    "no_header": "",
+    "self_loop": "3 1\n1 1\n",
+    "out_of_range": "2 1\n0 5\n",
+    "short": "3 2\n0 1\n",
+}
+BLOCK_FILES = {
+    "near_pencil": NEAR_PENCIL_BLOCKS,
+    "empty": "",
+    "malformed": "0 1\nx\n",
+    "out_of_range": "0 9\n",
+    "undersized": "0 1 2\n3\n",
+}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("robustness")
+    paths = {}
+    for kind, table in (("graph", GRAPH_FILES), ("blocks", BLOCK_FILES)):
+        for name, text in table.items():
+            path = root / f"{kind}_{name}.txt"
+            path.write_text(text)
+            paths[kind, name] = str(path)
+    return paths
+
+
+@st.composite
+def cli_calls(draw, paths):
+    def source():
+        if draw(st.integers(0, 3)):
+            return ["--gen", draw(GEN_SPECS)]
+        return ["--graph", paths["graph", draw(st.sampled_from(sorted(GRAPH_FILES)))]]
+
+    def partition():
+        if draw(st.integers(0, 3)):
+            return draw(PARTITIONS)
+        return paths["blocks", draw(st.sampled_from(sorted(BLOCK_FILES)))]
+
+    command = draw(st.sampled_from(["certify", "validate", "verify", "report"]))
+    fmt = ["--format", draw(FORMATS)]
+    if command == "certify":
+        return ["certify", *source(), *fmt]
+    if command == "validate":
+        blocks = paths["blocks", draw(st.sampled_from(sorted(BLOCK_FILES)))]
+        return ["validate", "--partition", blocks, "--n", str(draw(st.integers(-1, 8))), *fmt]
+    if command == "report":
+        mode = draw(st.sampled_from(["identities", "sparsity", "fiedler"]))
+        return ["report", *source(), "--mode", mode, *fmt]
+    argv = ["verify", *source(), "--partition", partition(),
+            "--bound", draw(st.sampled_from(["base", "refined"])),
+            "--variant", draw(st.sampled_from(["as-stated", "tight"])), *fmt]
+    if draw(st.booleans()):
+        argv += ["--mode", "sample", "--trials", str(draw(st.integers(-1, 40))),
+                 "--seed", str(draw(st.integers(0, 3)))]
+    return argv
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_input_ends_in_a_documented_exit_code(files, data):
+    argv = data.draw(cli_calls(files))
+    code, out, err = _call(argv)
+    assert code in EXIT_CODES, (argv, code, err)
+    if code == 2:
+        assert out == "" and err.startswith("error: "), (argv, out, err)
+    elif argv[argv.index("--format") + 1] == "json":
+        json.loads(out)
+    assert _call(argv) == (code, out, err), argv

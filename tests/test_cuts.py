@@ -254,16 +254,28 @@ class TestSparsityProfile:
     def test_k4(self):
         profile = sparsity_profile(graphs.complete(4))
         assert profile.ratio == pytest.approx(4.0)
-        assert len(profile.argmin) == 2
+        assert len(profile.members) == 2
+        assert profile.bitmask == sum(1 << v for v in profile.members)
 
     def test_bowtie_bridge(self):
         profile = sparsity_profile(BOWTIE_BRIDGE)
         assert profile.ratio == pytest.approx(1 / 3)
-        assert profile.argmin in (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
+        assert profile.members == (0, 1, 2)
+        assert profile.bitmask == 0b000111
+
+    def test_members_sorted_and_match_bitmask(self):
+        for seed in range(6):
+            g = graphs.random_gnp(9, 0.5, seed=seed)
+            profile = sparsity_profile(g)
+            assert profile.members == tuple(sorted(profile.members))
+            assert profile.bitmask == sum(1 << v for v in profile.members)
+            stats = graphs.cut_stats(g, profile.members)
+            assert profile.ratio == stats.crossing / stats.e_min
 
     def test_star_unbounded(self):
         profile = sparsity_profile(graphs.star(5))
-        assert profile.ratio is None and profile.argmin is None
+        assert profile.ratio is None
+        assert profile.members is None and profile.bitmask is None
 
 
 class TestFiedlerValue:

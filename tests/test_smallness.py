@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -178,3 +179,13 @@ def test_certificate_constructors():
     assert small.parts == 2 and small.c_min == 0.5
     not_small = SmallnessCertificate.of_not_small([1.0, 1.0, -2.0])
     assert not not_small.small and not_small.c_min is None and not_small.parts is None
+
+
+def test_c_min_is_exact_and_compared_exactly():
+    for k in range(1, 9):
+        assert minimal_c(graphs.complete(k)).c_min == Fraction(k - 1, k)
+    assert SmallnessCertificate.of_small(0).c_min == 0
+    # the float 2/3 lies an ulp below the rational 2/3, which K_3 needs
+    assert is_c_small(graphs.complete(3), Fraction(2, 3))[0]
+    assert not is_c_small(graphs.complete(3), 2 / 3)[0]
+    assert is_c_small(graphs.complete(5), 0.8)[0]  # the float 0.8 exceeds 4/5

@@ -4,12 +4,14 @@ import itertools
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutcert import graphs
 from cutcert.cli import main
+from cutcert.cuts import _exhaustive_masks, _mask_stats
 
 BOWTIE_EDGES = "6 7\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n"
 NEAR_PENCIL_BLOCKS = "0 1 2 3\n0 4\n1 4\n2 4\n3 4\n"
@@ -197,6 +199,24 @@ class TestVerify:
         assert code == 4
         assert out == "cut_bitmask,e_in,e_out,crossing,bound,pass\n"
 
+    @pytest.mark.parametrize("gen", ["complete:27", "gnp:27,0.5,1"])
+    def test_cap_holds_whatever_the_certificate(self, capsys, gen):
+        # G(27, 1/2) is not small, so its bound is inapplicable; the cap
+        # still comes first
+        code, out, err = run(capsys, "verify", "--gen", gen, "--partition", "trivial")
+        assert code == 2
+        assert out == "" and "capped at n=26" in err
+
+    def test_csv_rows_span_several_chunks(self, capsys):
+        g = graphs.random_gnp(18, 0.5, 3)
+        code, out, _ = run(capsys, "verify", "--gen", "gnp:18,0.5,3",
+                           "--partition", "all-pairs", "--format", "csv")
+        assert code in (0, 3)
+        rows = np.array([line.split(",")[:4] for line in out.splitlines()[1:]], dtype=np.int64)
+        masks = np.concatenate(list(_exhaustive_masks(18)))
+        expected = np.column_stack([masks, *_mask_stats(g, masks)])
+        assert np.array_equal(rows, expected)
+
     def test_json_byte_identical(self, capsys):
         argv = ["verify", "--gen", "gnp:8,0.5,42", "--partition", "all-pairs",
                 "--mode", "sample", "--trials", "200", "--seed", "11",
@@ -228,6 +248,31 @@ class TestReport:
         payload = json.loads(out)
         assert payload["min_ratio"] == 4.0
         assert payload["argmin_bitmask"] % 2 == 1
+
+    @pytest.mark.parametrize("g", [
+        graphs.complete(18),
+        # two K_9 joined by the edge (0, 8): the sparsest cut holds vertex 17
+        graphs.from_edge_list(18, [
+            *itertools.combinations([0, 1, 2, 3, 4, 5, 6, 7, 17], 2),
+            *itertools.combinations(range(8, 17), 2), (0, 8)]),
+    ])
+    def test_sparsity_first_minimum_across_chunks(self, capsys, tmp_path, g):
+        f = tmp_path / "graph.txt"
+        f.write_text(f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)))
+        code, out, _ = run(capsys, "report", "--graph", str(f),
+                           "--mode", "sparsity", "--format", "json")
+        assert code == 0
+        masks = np.concatenate(list(_exhaustive_masks(g.n)))
+        e_in, e_out, crossing = _mask_stats(g, masks)
+        e_min = np.minimum(e_in, e_out)
+        ok = e_min > 0
+        ratios = crossing[ok] / e_min[ok]
+        best = masks[ok][ratios == ratios.min()]
+        payload = json.loads(out)
+        assert payload["min_ratio"] == ratios.min()
+        assert payload["argmin_bitmask"] == best[0]
+        assert payload["argmin_cut"] == [v for v in range(g.n) if best[0] >> v & 1]
+        assert best[-1] >> 16  # the minimum is attained past the first chunk
 
     def test_sparsity_unbounded(self, capsys):
         code, out, _ = run(capsys, "report", "--gen", "star:5",

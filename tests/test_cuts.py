@@ -7,7 +7,10 @@ from test_acceptance import _random_design_instance
 
 from cutcert import bounds, graphs, partitions
 from cutcert.cuts import (
+    _LOW_BITS,
     CutCapError,
+    _exhaustive_masks,
+    _exhaustive_stats,
     _mask_stats,
     _sampled_masks,
     enumerate_cuts,
@@ -80,6 +83,58 @@ class TestMaskStats:
         masks = np.concatenate([extremes, *_sampled_masks(62, 200, seed=5)])
         for g in [graphs.complete(62), graphs.from_edge_list(62, [(0, 61), (60, 61)])]:
             _assert_kernel_matches_cut_stats(g, masks)
+
+
+def _assert_chunks_match_mask_stats(g):
+    chunks = list(_exhaustive_stats(g))
+    masks = np.concatenate([chunk[0] for chunk in chunks])
+    assert np.array_equal(masks, np.concatenate(list(_exhaustive_masks(g.n))))
+    for masks, *stats in chunks:
+        for got, want in zip(stats, _mask_stats(g, masks)):
+            assert np.array_equal(got, want)
+
+
+class TestExhaustiveStats:
+    def test_masks_ascend_over_every_canonical_cut(self):
+        for n in range(2, _LOW_BITS + 4):
+            masks = np.concatenate([chunk[0] for chunk in _exhaustive_stats(graphs.empty(n))])
+            assert len(masks) == 2 ** (n - 1) - 1
+            assert np.all(np.diff(masks) > 0) and np.all(masks & 1)
+            assert masks[-1] < (1 << n) - 1
+            assert np.array_equal(masks, np.concatenate(list(_exhaustive_masks(n))))
+
+    def test_every_small_graph_matches_mask_stats(self):
+        for n in range(2, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                g = graphs.from_edge_list(n, (e for i, e in enumerate(pairs) if bits >> i & 1))
+                _assert_chunks_match_mask_stats(g)
+
+    def test_orders_around_the_split(self):
+        for n in range(_LOW_BITS - 1, _LOW_BITS + 3):
+            _assert_chunks_match_mask_stats(graphs.random_gnp(n, 0.5, n))
+            _assert_chunks_match_mask_stats(graphs.empty(n))
+
+    def test_first_middle_and_last_chunk_at_the_cap(self):
+        n = 26
+        sparse = graphs.from_edge_list(n, [(0, 25), (3, 17), (15, 16), (20, 24), (7, 8)])
+        last, half = (1 << (n - _LOW_BITS)) - 1, 1 << (_LOW_BITS - 1)
+        for g in (graphs.complete(n), sparse):
+            for h, (masks, *stats) in enumerate(_exhaustive_stats(g)):
+                if h in (0, last // 2, last):
+                    t = np.arange(h * half, (h + 1) * half - (h == last), dtype=np.int64)
+                    assert np.array_equal(masks, 1 | t << 1)
+                    for got, want in zip(stats, _mask_stats(g, masks)):
+                        assert np.array_equal(got, want)
+            assert h == last
+
+    def test_orders_zero_and_one_yield_nothing(self):
+        assert list(_exhaustive_stats(graphs.empty(0))) == []
+        assert list(_exhaustive_stats(graphs.empty(1))) == []
+
+    def test_cap(self):
+        with pytest.raises(CutCapError, match="sampling"):
+            next(_exhaustive_stats(graphs.empty(27)))
 
 
 class TestVerifyBound:

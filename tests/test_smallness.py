@@ -189,3 +189,23 @@ def test_c_min_is_exact_and_compared_exactly():
     assert is_c_small(graphs.complete(3), Fraction(2, 3))[0]
     assert not is_c_small(graphs.complete(3), 2 / 3)[0]
     assert is_c_small(graphs.complete(5), 0.8)[0]  # the float 0.8 exceeds 4/5
+
+
+def test_part_witness_holds_in_exact_arithmetic():
+    # where the float (k-1)/k lies below the rational, x_v = 1/(k |part(v)|)
+    # ties with c (sum x)^2 in floats (K_3); its exact values must not
+    checked = 0
+    for k in range(2, 9):
+        c = float(Fraction(k - 1, k))
+        if Fraction(c) >= Fraction(k - 1, k):
+            continue
+        sizes = itertools.combinations_with_replacement(range(1, 8), k) if k <= 6 else [(1,) * k]
+        for parts in sizes:
+            g = graphs.complete_multipartite(list(parts))
+            small, x = is_c_small(g, c)
+            assert not small
+            x = [Fraction(v) for v in x.tolist()]
+            form = 2 * sum(x[u] * x[v] for u, v in g.edges)
+            assert form > Fraction(c) * sum(x) ** 2, parts
+            checked += 1
+    assert checked == 85  # the 84 three-part graphs with K_3 among them, and K_7

@@ -155,23 +155,17 @@ def cmd_validate(args) -> int:
 def cmd_verify(args) -> int:
     graph = _resolve_graph(args)
     partition = _resolve_partition(args.partition, graph.n)
-    keep_rows = args.format == "csv"
+    csv = sys.stdout if args.format == "csv" else None
     if args.mode == "sample":
         report = cuts.sample_cuts_verify(
             graph, partition, kind=args.bound, trials=args.trials, seed=args.seed,
-            variant=args.variant, keep_rows=keep_rows,
+            variant=args.variant, csv=csv,
         )
     else:
         report = cuts.verify_bound(
-            graph, partition, kind=args.bound, variant=args.variant, keep_rows=keep_rows,
+            graph, partition, kind=args.bound, variant=args.variant, csv=csv,
         )
-    if keep_rows:
-        print("cut_bitmask,e_in,e_out,crossing,bound,pass")
-        sys.stdout.writelines(
-            f"{mask},{e_in},{e_out},{crossing},{bound!r},{'pass' if ok else 'fail'}\n"
-            for mask, e_in, e_out, crossing, bound, ok in report.rows
-        )
-    else:
+    if csv is None:
         _emit(report.to_dict(), args.format)
     if not report.applicable:
         return EXIT_INAPPLICABLE

@@ -11,12 +11,14 @@ splits each cut S into a high half H (vertices b..n-1) and a low half L
 come from tables built once, and one chunk per H adds the H terms and the
 edges between H and L, O(1) amortized work per cut. Sampled cuts take one
 popcount of the masks ANDed with each vertex's adjacency bitmask: O(n)
-vector operations per chunk, whatever the edge count.
+vector operations per chunk, whatever the edge count. Verification writes
+each chunk's CSV rows as soon as the chunk is evaluated, so memory does not
+grow with the number of cuts.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,15 +118,15 @@ def _exhaustive_stats(graph: Graph):
         yield stats if h < last else tuple(a[:-1] for a in stats)
 
 
-def _mask_members(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(v for v in range(n) if mask >> v & 1)
+def _mask_members(mask: int) -> tuple[int, ...]:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def enumerate_cuts(graph: Graph):
     """Yield each nontrivial unordered cut once, as the side containing 0."""
     for masks in _exhaustive_masks(graph.n):
         for mask in masks.tolist():
-            yield frozenset(_mask_members(mask, graph.n))
+            yield frozenset(_mask_members(mask))
 
 
 def fiedler_value(graph: Graph) -> float:
@@ -143,8 +145,11 @@ class SparsityProfile:
     """
 
     ratio: float | None
-    members: tuple | None
     bitmask: int | None
+
+    @property
+    def members(self) -> tuple | None:
+        return None if self.bitmask is None else _mask_members(self.bitmask)
 
 
 def sparsity_profile(graph: Graph) -> SparsityProfile:
@@ -156,8 +161,8 @@ def sparsity_profile(graph: Graph) -> SparsityProfile:
         if ratios[i] < best:
             best, best_cut = float(ratios[i]), int(masks[i])
     if best_cut is None:
-        return SparsityProfile(None, None, None)
-    return SparsityProfile(best, _mask_members(best_cut, graph.n), best_cut)
+        return SparsityProfile(None, None)
+    return SparsityProfile(best, best_cut)
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +171,15 @@ def sparsity_profile(graph: Graph) -> SparsityProfile:
 
 @dataclass(frozen=True)
 class Violation:
-    members: tuple
     bitmask: int
     e_in: int
     e_out: int
     crossing: int
     bound: float
+
+    @property
+    def members(self) -> tuple:
+        return _mask_members(self.bitmask)
 
     def to_dict(self):
         return {
@@ -202,7 +210,6 @@ class VerificationReport:
     cuts_examined: int
     worst_ratio: float
     violations: tuple
-    rows: tuple = field(default=(), repr=False)
 
     def to_dict(self):
         return {
@@ -242,9 +249,10 @@ def _bound_tables(kind: str, variant: str, c, graph: Graph):
     return np.array([math.ceil(b) for b in exact]), np.array([float(b) for b in exact])
 
 
-def _evaluate(graph, partition, kind, variant, stat_chunks, mode, seed, trials, keep_rows):
+def _evaluate(graph, partition, kind, variant, stat_chunks, mode, seed, trials, csv):
     """The report over chunks of (masks, e_in, e_out, crossing); an
-    inapplicable bound examines none."""
+    inapplicable bound examines none. A text stream csv gets the header once
+    the bound is settled, then each chunk's rows as soon as it is evaluated."""
     dom = replication_degree_check(graph, partition)
     cert = partition_certificate(graph, partition)
     reason = None
@@ -256,11 +264,13 @@ def _evaluate(graph, partition, kind, variant, stat_chunks, mode, seed, trials, 
     worst = math.inf
     examined = 0
     violations = []
-    rows = []
     if reason is None:
         need, value = _bound_tables(kind, variant, cert.c, graph)
+        suffix = [(f",{b!r},fail\n", f",{b!r},pass\n") for b in value.tolist()]
     else:
         stat_chunks = ()
+    if csv is not None:
+        csv.write("cut_bitmask,e_in,e_out,crossing,bound,pass\n")
     for masks, e_in, e_out, crossing in stat_chunks:
         e_min = np.minimum(e_in, e_out)
         passes = crossing >= need[e_min]
@@ -268,21 +278,14 @@ def _evaluate(graph, partition, kind, variant, stat_chunks, mode, seed, trials, 
         examined += len(masks)
         ratios = np.divide(crossing, bound, out=np.full(len(masks), math.inf), where=bound > 0)
         worst = min(worst, float(ratios.min()))
-        for i in np.nonzero(~passes)[0]:
-            mask = int(masks[i])
-            violations.append(
-                Violation(
-                    _mask_members(mask, graph.n),
-                    mask,
-                    int(e_in[i]),
-                    int(e_out[i]),
-                    int(crossing[i]),
-                    float(bound[i]),
-                )
-            )
-        if keep_rows:
-            rows.extend(zip(masks.tolist(), e_in.tolist(), e_out.tolist(),
-                            crossing.tolist(), bound.tolist(), passes.tolist()))
+        fail = ~passes
+        violations.extend(map(Violation, masks[fail].tolist(), e_in[fail].tolist(),
+                              e_out[fail].tolist(), crossing[fail].tolist(),
+                              bound[fail].tolist()))
+        if csv is not None:
+            csv.writelines(f"{mask},{i},{o},{x}{suffix[e][ok]}" for mask, i, o, x, e, ok in zip(
+                masks.tolist(), e_in.tolist(), e_out.tolist(), crossing.tolist(),
+                e_min.tolist(), passes.tolist()))
     return VerificationReport(
         graph_n=graph.n,
         graph_edges=graph.m,
@@ -300,7 +303,6 @@ def _evaluate(graph, partition, kind, variant, stat_chunks, mode, seed, trials, 
         cuts_examined=examined,
         worst_ratio=worst,
         violations=tuple(violations),
-        rows=tuple(rows),
     )
 
 
@@ -309,13 +311,13 @@ def verify_bound(
     partition: PairPartition,
     kind: str = KIND_BASE,
     variant: str = bounds.AS_STATED,
-    keep_rows: bool = False,
+    csv=None,
 ) -> VerificationReport:
     """Check the cut bound against every nontrivial cut of the graph."""
     _cut_count(graph.n)  # the cap holds whatever the certificate says
     return _evaluate(
         graph, partition, kind, variant, _exhaustive_stats(graph),
-        MODE_EXHAUSTIVE, None, None, keep_rows,
+        MODE_EXHAUSTIVE, None, None, csv,
     )
 
 
@@ -340,7 +342,7 @@ def sample_cuts_verify(
     trials: int = 1000,
     seed: int = 0,
     variant: str = bounds.AS_STATED,
-    keep_rows: bool = False,
+    csv=None,
 ) -> VerificationReport:
     """Bound verification over uniformly sampled cuts; deterministic per seed."""
     if trials < 1:
@@ -353,5 +355,5 @@ def sample_cuts_verify(
         graph, partition, kind, variant,
         ((masks, *_mask_stats(graph, masks))
          for masks in _sampled_masks(graph.n, trials, seed)),
-        MODE_SAMPLED, seed, trials, keep_rows,
+        MODE_SAMPLED, seed, trials, csv,
     )

@@ -11,9 +11,13 @@ from hypothesis import strategies as st
 
 from cutcert import graphs
 from cutcert.cli import main
-from cutcert.cuts import _exhaustive_masks, _mask_stats
+from cutcert.cuts import _CHUNK, _exhaustive_masks, _mask_stats, _sampled_masks
 
 BOWTIE_EDGES = "6 7\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n"
+# six triangles 3i, 3i+1, 3i+2 in a chain, bridged by the edges (3i+2, 3i+3)
+TRIANGLE_CHAIN = [e for i in range(6) for e in
+                  ((3 * i, 3 * i + 1), (3 * i, 3 * i + 2), (3 * i + 1, 3 * i + 2))]
+TRIANGLE_CHAIN += [(3 * i + 2, 3 * i + 3) for i in range(5)]
 NEAR_PENCIL_BLOCKS = "0 1 2 3\n0 4\n1 4\n2 4\n3 4\n"
 
 
@@ -216,6 +220,36 @@ class TestVerify:
         masks = np.concatenate(list(_exhaustive_masks(18)))
         expected = np.column_stack([masks, *_mask_stats(g, masks)])
         assert np.array_equal(rows, expected)
+
+    def test_sampled_csv_rows_span_several_chunks(self, capsys):
+        trials, seed = 70_000, 5
+        assert trials > _CHUNK
+        g = graphs.random_gnp(20, 0.5, 3)
+        code, out, _ = run(capsys, "verify", "--gen", "gnp:20,0.5,3",
+                           "--partition", "all-pairs", "--mode", "sample",
+                           "--trials", str(trials), "--seed", str(seed), "--format", "csv")
+        assert code in (0, 3)
+        rows = np.array([line.split(",")[:4] for line in out.splitlines()[1:]], dtype=np.int64)
+        masks = np.concatenate(list(_sampled_masks(20, trials, seed)))
+        expected = np.column_stack([masks, *_mask_stats(g, masks)])
+        assert len(rows) == trials
+        assert np.array_equal(rows, expected)
+
+    @pytest.mark.parametrize("mode", [["--mode", "exhaustive"],
+                                      ["--mode", "sample", "--trials", "70000", "--seed", "2"]])
+    def test_csv_fail_rows_match_json_violations(self, capsys, tmp_path, mode):
+        f = tmp_path / "chain.txt"
+        f.write_text(f"18 {len(TRIANGLE_CHAIN)}\n"
+                     + "".join(f"{u} {v}\n" for u, v in TRIANGLE_CHAIN))
+        argv = ["verify", "--graph", str(f), "--partition", "all-pairs", *mode]
+        csv_code, out, _ = run(capsys, *argv, "--format", "csv")
+        json_code, payload, _ = run(capsys, *argv, "--format", "json")
+        payload = json.loads(payload)
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        failed = [int(row[0]) for row in rows if row[5] == "fail"]
+        assert failed and csv_code == json_code == 3
+        assert failed == [v["bitmask"] for v in payload["violations"]]
+        assert len(rows) == payload["cuts_examined"]
 
     def test_json_byte_identical(self, capsys):
         argv = ["verify", "--gen", "gnp:8,0.5,42", "--partition", "all-pairs",

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 
@@ -23,6 +24,21 @@ from cutcert.cuts import (
 BOWTIE_BRIDGE = graphs.from_edge_list(
     6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]
 )
+
+
+def _verify_csv(g, p, **kwargs):
+    """verify_bound with a CSV sink: the report and the parsed rows."""
+    sink = io.StringIO()
+    report = verify_bound(g, p, csv=sink, **kwargs)
+    header, *lines = sink.getvalue().splitlines()
+    assert header == "cut_bitmask,e_in,e_out,crossing,bound,pass"
+    rows = []
+    for line in lines:
+        mask, e_in, e_out, crossing, bound, verdict = line.split(",")
+        assert verdict in ("pass", "fail")
+        rows.append((int(mask), int(e_in), int(e_out), int(crossing), float(bound),
+                     verdict == "pass"))
+    return report, rows
 
 
 class TestEnumerateCuts:
@@ -180,8 +196,8 @@ class TestVerifyBound:
         # at exactly 3 edges, so e_min = 3 uses the bound 2(1-c)/c * 3 = 3
         p = partitions.affine_plane(3)
         g = graphs.design_graph(9, p.blocks, "complete")
-        report = verify_bound(g, p, kind="refined", keep_rows=True)
-        tied = [bound for _, e_in, e_out, _, bound, _ in report.rows if min(e_in, e_out) == 3]
+        _, rows = _verify_csv(g, p, kind="refined")
+        tied = [bound for _, e_in, e_out, _, bound, _ in rows if min(e_in, e_out) == 3]
         assert tied and all(bound == 3.0 for bound in tied)
 
     def test_not_small_block_inapplicable(self):
@@ -212,11 +228,9 @@ class TestVerifyBound:
             assert bool(report.violations) == (report.worst_ratio < 1.0 - 1e-9)
 
     def test_rows_collected_on_request(self):
-        report = verify_bound(
-            graphs.complete(4), partitions.trivial_partition(4), keep_rows=True
-        )
-        assert len(report.rows) == report.cuts_examined == 7
-        for mask, e_in, e_out, crossing, bound, ok in report.rows:
+        report, rows = _verify_csv(graphs.complete(4), partitions.trivial_partition(4))
+        assert len(rows) == report.cuts_examined == 7
+        for mask, e_in, e_out, crossing, bound, ok in rows:
             assert mask % 2 == 1
             assert e_in + e_out + crossing == 6
 
@@ -260,10 +274,10 @@ def test_verdicts_match_integer_forms():
     checked = 0
     for i, (g, p) in enumerate(corpora):
         for kind, variant in runs:
-            report = verify_bound(g, p, kind=kind, variant=variant, keep_rows=True)
+            report, rows = _verify_csv(g, p, kind=kind, variant=variant)
             k = round(1 / (1 - report.c))
             assert report.c == (k - 1) / k, f"corpus {i}"
-            rows = np.array(report.rows, dtype=object)
+            rows = np.array(rows, dtype=object)
             mask, e_in, e_out, crossing = (rows[:, j].astype(np.int64) for j in range(4))
             bound, passes = rows[:, 4].astype(float), rows[:, 5].astype(bool)
             e_min = np.minimum(e_in, e_out)

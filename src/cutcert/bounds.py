@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Cut, Graph, cut_stats
+from .graphs import Graph, cut_stats
 
 INTERIOR = "interior"
 ENDPOINTS = "endpoints"
@@ -24,8 +24,6 @@ FLAT = "flat"
 
 AS_STATED = "as-stated"
 TIGHT = "tight"
-
-IDENTITY_TOL = 1e-9
 
 
 class BoundDomainError(ValueError):
@@ -118,22 +116,37 @@ IDENTITY_NAMES = (
 )
 
 
+def _cut_vector(n: int, S) -> tuple[np.ndarray, float, float]:
+    """The signed cut vector x of S, with p = |S|/n and q = 1 - p.
+
+    x is q on S and -p off S, so its coordinates sum to zero. S must already
+    be validated: a negative vertex would silently index from the end.
+    """
+    p = len(S) / n
+    q = 1.0 - p
+    x = np.full(n, -p)
+    x[list(S)] = q
+    return x, p, q
+
+
 def identity_suite(graph: Graph, members) -> dict[str, float]:
     """Absolute residuals of the cut-vector identities for a proper cut.
 
     Every residual must vanish (up to rounding) for any graph and any
-    nonempty proper S; a trivial cut degenerates the vector and is rejected.
+    nonempty proper S; a trivial cut degenerates the vector and is rejected,
+    and a vertex outside [0, n) raises ``GraphInputError``. The edge counts
+    come from ``cut_stats``, independently of the quadratic forms, which read
+    the graph's cached dense matrices; nothing per cut rebuilds a matrix.
     """
     S = frozenset(members)
-    if not S or len(S) >= graph.n:
+    n = graph.n
+    if not S or len(S) >= n:
         raise BoundDomainError("identities need a nonempty proper subset S")
-    cut = Cut(graph.n, S)
-    stats = cut_stats(graph, S)
-    x = cut.vector()
-    p, q, n = cut.p, cut.q, graph.n
+    stats = cut_stats(graph, S)  # validates S before x is indexed by it
+    x, p, q = _cut_vector(n, S)
     d = np.asarray(graph.degrees, dtype=float)
     A = graph.adjacency_matrix()
-    L = np.diag(d) - A
+    L = graph.laplacian_matrix()
 
     xLx = float(x @ L @ x)
     xAx = float(x @ A @ x)

@@ -58,17 +58,23 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return _canon_edge(u, v) in self.edges
 
-    def adjacency_matrix(self) -> np.ndarray:
+    @cached_property
+    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency A and Laplacian L = diag(d) - A, built once and read-only."""
         A = np.zeros((self.n, self.n))
         for u, v in self.edges:
             A[u, v] = 1.0
             A[v, u] = 1.0
-        return A
+        L = np.diag(self.degrees) - A
+        A.flags.writeable = False
+        L.flags.writeable = False
+        return A, L
+
+    def adjacency_matrix(self) -> np.ndarray:
+        return self._dense[0]
 
     def laplacian_matrix(self) -> np.ndarray:
-        L = -self.adjacency_matrix()
-        L[np.diag_indices(self.n)] = self.degrees
-        return L
+        return self._dense[1]
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Subgraph on the given vertices, reindexed to 0..k-1 in sorted order."""
@@ -110,36 +116,6 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
 
 
 @dataclass(frozen=True)
-class Cut:
-    """A vertex subset S of a graph on n vertices, with its signed indicator.
-
-    The associated vector has entry q = |S^c|/n on S and -p = -|S|/n off S,
-    so its coordinates always sum to zero.
-    """
-
-    n: int
-    members: frozenset
-
-    def __post_init__(self):
-        for v in self.members:
-            if not 0 <= v < self.n:
-                raise GraphInputError(f"cut vertex {v} out of range for n={self.n}")
-
-    @property
-    def p(self) -> float:
-        return len(self.members) / self.n
-
-    @property
-    def q(self) -> float:
-        return 1.0 - self.p
-
-    def vector(self) -> np.ndarray:
-        x = np.full(self.n, -self.p)
-        x[sorted(self.members)] = self.q
-        return x
-
-
-@dataclass(frozen=True)
 class CutStats:
     """Edge counts of a cut: inside S, inside S^c, and crossing."""
 
@@ -153,20 +129,16 @@ class CutStats:
 
 
 def cut_stats(graph: Graph, members: Iterable[int]) -> CutStats:
-    S = set(members)
-    for v in S:
+    """Edge counts of the cut S = members, from each edge's two endpoints."""
+    inside = [False] * graph.n
+    for v in members:
         if not 0 <= v < graph.n:
             raise GraphInputError(f"cut vertex {v} out of range for n={graph.n}")
-    e_in = e_out = crossing = 0
+        inside[v] = True
+    counts = [0, 0, 0]  # edges with 0, 1 or 2 endpoints in S
     for u, v in graph.edges:
-        inside = (u in S) + (v in S)
-        if inside == 2:
-            e_in += 1
-        elif inside == 0:
-            e_out += 1
-        else:
-            crossing += 1
-    return CutStats(e_in, e_out, crossing)
+        counts[inside[u] + inside[v]] += 1
+    return CutStats(e_in=counts[2], e_out=counts[0], crossing=counts[1])
 
 
 # ---------------------------------------------------------------------------

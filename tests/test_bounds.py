@@ -18,6 +18,7 @@ from cutcert.bounds import (
     lambda_value,
     refined_bound,
 )
+from cutcert.graphs import GraphInputError
 
 
 class TestLambdaValue:
@@ -202,6 +203,11 @@ class TestIdentitySuite:
         with pytest.raises(BoundDomainError):
             identity_suite(g, {0, 1, 2})
 
+    @pytest.mark.parametrize("members", [{0, 7}, {0, -1}])
+    def test_vertex_out_of_range_rejected(self, members):
+        with pytest.raises(GraphInputError, match="out of range"):
+            identity_suite(graphs.path(4), members)
+
     def test_exhaustive_residuals_small_corpus(self):
         from cutcert.cuts import enumerate_cuts
 
@@ -209,3 +215,27 @@ class TestIdentitySuite:
             g = graphs.random_gnp(7, 0.5, seed=seed)
             for S in enumerate_cuts(g):
                 assert max(identity_suite(g, S).values()) <= 1e-9
+
+
+class TestCutVector:
+    """The signed vector x the identity suite builds: q on S, -p off S."""
+
+    def test_single_vertex(self):
+        x, p, q = bounds._cut_vector(4, frozenset({0}))
+        assert (p, q) == (0.25, 0.75)
+        assert np.allclose(x, [0.75, -0.25, -0.25, -0.25])
+
+    def test_half(self):
+        x, _, _ = bounds._cut_vector(2, frozenset({0}))
+        assert np.allclose(x, [0.5, -0.5])
+
+    def test_full_side_is_zero(self):
+        x, _, _ = bounds._cut_vector(4, frozenset(range(4)))
+        assert np.allclose(x, 0.0)
+
+    def test_sums_to_zero(self):
+        for k in range(1, 7):
+            x, p, q = bounds._cut_vector(7, frozenset(range(k)))
+            assert p == k / 7 and q == 1.0 - p
+            assert np.allclose(x[:k], q) and np.allclose(x[k:], -p)
+            assert abs(x.sum()) < 1e-12

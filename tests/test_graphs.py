@@ -5,7 +5,6 @@ import pytest
 
 from cutcert import graphs
 from cutcert.graphs import (
-    Cut,
     GraphInputError,
     cut_stats,
     design_graph,
@@ -101,22 +100,10 @@ class TestCutStats:
             stats = cut_stats(g, S)
             assert sum(g.degrees[v] for v in S) == 2 * stats.e_in + stats.crossing
 
-
-class TestCutVector:
-    def test_single_vertex(self):
-        x = Cut(4, frozenset({0})).vector()
-        assert np.allclose(x, [0.75, -0.25, -0.25, -0.25])
-
-    def test_half(self):
-        assert np.allclose(Cut(2, frozenset({0})).vector(), [0.5, -0.5])
-
-    def test_full_side_is_zero(self):
-        assert np.allclose(Cut(4, frozenset(range(4))).vector(), 0.0)
-
-    def test_sums_to_zero(self):
-        for k in range(1, 7):
-            x = Cut(7, frozenset(range(k))).vector()
-            assert abs(x.sum()) < 1e-12
+    @pytest.mark.parametrize("members", [{0, 7}, {0, -1}])
+    def test_vertex_out_of_range_rejected(self, members):
+        with pytest.raises(GraphInputError, match="out of range"):
+            cut_stats(graphs.path(4), members)
 
 
 class TestMatrices:
@@ -126,9 +113,17 @@ class TestMatrices:
         assert np.allclose(L, L.T)
 
     def test_laplacian_is_degree_minus_adjacency(self):
+        for g in (graphs.random_gnp(6, 0.5, seed=1), graphs.star(4), graphs.empty(0)):
+            D = np.diag(g.degrees)
+            assert np.array_equal(g.laplacian_matrix(), D - g.adjacency_matrix())
+
+    def test_matrices_built_once_and_read_only(self):
         g = graphs.random_gnp(6, 0.5, seed=1)
-        D = np.diag(g.degrees)
-        assert np.array_equal(g.laplacian_matrix(), D - g.adjacency_matrix())
+        assert g.adjacency_matrix() is g.adjacency_matrix()
+        assert g.laplacian_matrix() is g.laplacian_matrix()
+        for M in (g.adjacency_matrix(), g.laplacian_matrix()):
+            with pytest.raises(ValueError, match="read-only"):
+                M[0, 1] = 5.0
 
     def test_empty_laplacian(self):
         assert np.array_equal(graphs.empty(3).laplacian_matrix(), np.zeros((3, 3)))

@@ -12,6 +12,7 @@ Exit codes: 0 success / bound holds, 2 input error, 3 negative finding
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -31,35 +32,36 @@ class CliInputError(ValueError):
 # Sources
 
 
+# generator name: (builder, argument types); a trailing ... means one or
+# more arguments of the type before it
+_GENERATORS = {
+    "star": (graphs.star, (int,)),
+    "complete": (graphs.complete, (int,)),
+    "path": (graphs.path, (int,)),
+    "empty": (graphs.empty, (int,)),
+    "bipartite": (graphs.complete_bipartite, (int, int)),
+    "complete-bipartite": (graphs.complete_bipartite, (int, int)),
+    "multipartite": (lambda *sizes: graphs.complete_multipartite(sizes), (int, ...)),
+    "gnp": (graphs.random_gnp, (int, float, int)),
+}
+
+
 def _parse_gen(spec: str) -> graphs.Graph:
     name, _, argstr = spec.partition(":")
-    args = [a for a in argstr.split(",") if a] if argstr else []
+    if name not in _GENERATORS:
+        raise CliInputError(f"unknown generator {name!r} in spec {spec!r}")
+    builder, types = _GENERATORS[name]
+    args = [a for a in argstr.split(",") if a]
+    usage = ",".join("..." if t is ... else t.__name__ for t in types)
+    if types[-1] is ...:
+        types = types[:-1] * max(len(args), 1)
+    if len(args) != len(types):
+        raise CliInputError(f"bad generator spec {spec!r}: expected {name}:{usage}")
     try:
-        if name == "star":
-            (k,) = map(int, args)
-            return graphs.star(k)
-        if name == "complete":
-            (n,) = map(int, args)
-            return graphs.complete(n)
-        if name == "path":
-            (n,) = map(int, args)
-            return graphs.path(n)
-        if name == "empty":
-            (n,) = map(int, args)
-            return graphs.empty(n)
-        if name in ("bipartite", "complete-bipartite"):
-            a, b = map(int, args)
-            return graphs.complete_bipartite(a, b)
-        if name == "multipartite":
-            return graphs.complete_multipartite([int(a) for a in args])
-        if name == "gnp":
-            n, prob, seed = int(args[0]), float(args[1]), int(args[2])
-            return graphs.random_gnp(n, prob, seed)
-    except (ValueError, IndexError) as exc:
-        if isinstance(exc, graphs.GraphInputError):
-            raise
+        values = [kind(a) for kind, a in zip(types, args)]
+    except ValueError as exc:
         raise CliInputError(f"bad generator spec {spec!r}: {exc}")
-    raise CliInputError(f"unknown generator {name!r} in spec {spec!r}")
+    return builder(*values)
 
 
 def _resolve_graph(args) -> graphs.Graph:
@@ -95,9 +97,9 @@ def _emit(payload: dict, fmt: str):
         print(json.dumps(payload, sort_keys=True, allow_nan=False))
         return
     if fmt == "csv":
-        print("key,value")
-        for key, value in _flatten(payload):
-            print(f"{key},{value}")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(("key", "value"))
+        writer.writerows((key, str(value)) for key, value in _flatten(payload))
         return
     for key, value in _flatten(payload):
         print(f"{key} = {_round6(value)}")
@@ -155,17 +157,17 @@ def cmd_validate(args) -> int:
 def cmd_verify(args) -> int:
     graph = _resolve_graph(args)
     partition = _resolve_partition(args.partition, graph.n)
-    csv = sys.stdout if args.format == "csv" else None
+    csv_out = sys.stdout if args.format == "csv" else None
     if args.mode == "sample":
         report = cuts.sample_cuts_verify(
             graph, partition, kind=args.bound, trials=args.trials, seed=args.seed,
-            variant=args.variant, csv=csv,
+            variant=args.variant, csv=csv_out,
         )
     else:
         report = cuts.verify_bound(
-            graph, partition, kind=args.bound, variant=args.variant, csv=csv,
+            graph, partition, kind=args.bound, variant=args.variant, csv=csv_out,
         )
-    if csv is None:
+    if csv_out is None:
         _emit(report.to_dict(), args.format)
     if not report.applicable:
         return EXIT_INAPPLICABLE

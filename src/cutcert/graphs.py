@@ -55,9 +55,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _canon_edge(u, v) in self.edges
-
     @cached_property
     def _dense(self) -> tuple[np.ndarray, np.ndarray]:
         """Adjacency A and Laplacian L = diag(d) - A, built once and read-only."""
@@ -266,9 +263,3 @@ def parse_edge_list(text: str) -> Graph:
 def load_edge_list(file) -> Graph:
     with open(file) as fh:
         return parse_edge_list(fh.read())
-
-
-def format_edge_list(graph: Graph) -> str:
-    lines = [f"{graph.n} {graph.m}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(graph.edges))
-    return "\n".join(lines) + "\n"

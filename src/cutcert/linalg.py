@@ -40,19 +40,12 @@ def check_symmetric(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def all_ones(n: int) -> np.ndarray:
-    return np.ones((n, n))
-
-
 @dataclass(frozen=True)
 class EigenResult:
     """Full spectrum, eigenvalues ascending, eigenvectors as matching columns."""
 
     values: np.ndarray
     vectors: np.ndarray
-
-    def pairs(self):
-        return [(self.values[i], self.vectors[:, i]) for i in range(len(self.values))]
 
 
 def _off_norm(A: np.ndarray) -> float:
@@ -61,15 +54,13 @@ def _off_norm(A: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def eigen_all(M: np.ndarray, tol: float = DEFAULT_SWEEP_TOL) -> EigenResult:
+def eigen_all(M: np.ndarray) -> EigenResult:
     """Diagonalize a symmetric matrix with cyclic Jacobi rotations.
 
-    Converged when the off-diagonal Frobenius norm drops below tol times the
-    Frobenius norm of the input; raises JacobiConvergenceError after
-    MAX_SWEEPS sweeps otherwise.
+    Converged when the off-diagonal Frobenius norm drops below
+    DEFAULT_SWEEP_TOL times the Frobenius norm of the input; raises
+    JacobiConvergenceError after MAX_SWEEPS sweeps otherwise.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     A = check_symmetric(M).copy()
     n = A.shape[0]
     V = np.eye(n)
@@ -79,7 +70,7 @@ def eigen_all(M: np.ndarray, tol: float = DEFAULT_SWEEP_TOL) -> EigenResult:
         return EigenResult(np.diag(A)[order].copy(), V[:, order].copy())
 
     for sweep in range(MAX_SWEEPS):
-        if _off_norm(A) <= tol * fro:
+        if _off_norm(A) <= DEFAULT_SWEEP_TOL * fro:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -121,20 +112,15 @@ class PsdVerdict:
     min_eigenvalue: float
     witness: np.ndarray | None
 
-    def __bool__(self) -> bool:
-        return self.psd
 
-
-def is_psd(M: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
-    """True iff the minimum eigenvalue is >= -tol.
+def is_psd(M: np.ndarray) -> PsdVerdict:
+    """PSD iff the minimum eigenvalue is >= -DEFAULT_PSD_TOL.
 
     The returned witness w (for the negative case) satisfies w^t M w < 0.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
     result = eigen_all(M)
     lo = float(result.values[0])
-    if lo >= -tol:
+    if lo >= -DEFAULT_PSD_TOL:
         return PsdVerdict(True, lo, None)
     return PsdVerdict(False, lo, result.vectors[:, 0].copy())
 

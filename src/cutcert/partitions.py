@@ -98,18 +98,17 @@ class PairPartition:
 
 @dataclass(frozen=True)
 class DegreeDominanceReport:
-    """Per-vertex comparison of replication r_v against degree d_v.
+    """Vertices whose replication r_v exceeds their degree d_v.
 
     r_v <= d_v everywhere is the unstated hypothesis the cut-bound proof
     leans on; it is reported, never enforced.
     """
 
-    rows: tuple  # (vertex, r_v, d_v, ok)
-    ok: bool
+    failing_vertices: tuple[int, ...]
 
     @property
-    def failing_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, _, _, ok in self.rows if not ok)
+    def ok(self) -> bool:
+        return not self.failing_vertices
 
 
 def replication_degree_check(graph: Graph, partition: PairPartition) -> DegreeDominanceReport:
@@ -117,11 +116,9 @@ def replication_degree_check(graph: Graph, partition: PairPartition) -> DegreeDo
         raise PartitionError(
             f"size mismatch: graph has {graph.n} vertices, partition {partition.n}"
         )
-    rows = tuple(
-        (v, r, d, r <= d)
-        for v, (r, d) in enumerate(zip(partition.replication, graph.degrees))
-    )
-    return DegreeDominanceReport(rows, all(ok for *_, ok in rows))
+    return DegreeDominanceReport(tuple(
+        v for v, (r, d) in enumerate(zip(partition.replication, graph.degrees)) if r > d
+    ))
 
 
 @dataclass(frozen=True)
@@ -135,9 +132,6 @@ class PartitionCertificate:
     c: Fraction | None
     offending_block: int | None
     witness: object
-
-    def __bool__(self) -> bool:
-        return self.small
 
 
 def partition_certificate(graph: Graph, partition: PairPartition) -> PartitionCertificate:

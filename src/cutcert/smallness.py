@@ -3,9 +3,7 @@
 A graph with adjacency matrix M is c-small when cJ - M is positive
 semidefinite (J the all-ones matrix), i.e. x^t M x <= c (sum x)^2 for every
 real x. This module decides the property at a given c and finds the
-minimal feasible c exactly, from one pass over the graph's structure, and
-knows the closed-form values of the standard families (stars, complete
-bipartite, complete multipartite).
+minimal feasible c exactly, from one pass over the graph's structure.
 """
 from __future__ import annotations
 
@@ -16,10 +14,6 @@ import numpy as np
 
 from . import linalg
 from .graphs import Graph
-
-FAMILY_STAR = "star"
-FAMILY_COMPLETE_BIPARTITE = "complete_bipartite"
-FAMILY_COMPLETE_MULTIPARTITE = "complete_multipartite"
 
 
 @dataclass(frozen=True)
@@ -117,27 +111,11 @@ def minimal_c(graph: Graph) -> SmallnessCertificate:
     return SmallnessCertificate.of_small(len(parts))
 
 
-def family_c(family: str, s: int | None = None) -> float:
-    """Closed-form smallness constants for the standard families."""
-    if family == FAMILY_STAR or family == FAMILY_COMPLETE_BIPARTITE:
-        return 0.5
-    if family == FAMILY_COMPLETE_MULTIPARTITE:
-        if s is None or s < 2:
-            raise ValueError(f"complete multipartite needs part count s >= 2, got {s}")
-        return (s - 1) / s
-    raise ValueError(f"unknown family {family!r}")
-
-
-def random_vector_probe(
-    graph: Graph,
-    c: float,
-    trials: int,
-    seed: int = 0,
-    tol: float = linalg.DEFAULT_PSD_TOL,
-) -> np.ndarray | None:
+def random_vector_probe(graph: Graph, c: float, trials: int, seed: int = 0) -> np.ndarray | None:
     """Sample vectors with entries uniform in [-1, 1] looking for a violation.
 
-    Returns the first x with x^t M x > c (sum x)^2 + tol, or None.
+    Returns the first x with x^t M x > c (sum x)^2 + linalg.DEFAULT_PSD_TOL,
+    or None.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -150,7 +128,7 @@ def random_vector_probe(
         X = rng.uniform(-1.0, 1.0, size=(k, graph.n))
         forms = np.einsum("ij,ij->i", X @ M, X)
         sums = X.sum(axis=1)
-        bad = np.nonzero(forms > c * sums**2 + tol)[0]
+        bad = np.nonzero(forms > c * sums**2 + linalg.DEFAULT_PSD_TOL)[0]
         if bad.size:
             return X[bad[0]].copy()
         done += k

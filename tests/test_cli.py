@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import itertools
 import json
@@ -326,6 +327,35 @@ def test_generator_specs_cover_families(capsys):
             assert json.loads(out)["min_ratio"] is None
 
 
+@pytest.mark.parametrize("spec", [
+    "star:", "star:3,1", "complete:", "complete:4,1", "path:", "path:4,1",
+    "empty:", "empty:4,1", "bipartite:2", "bipartite:2,3,1",
+    "complete-bipartite:2", "complete-bipartite:2,3,1", "multipartite:",
+    "gnp:6,0.5", "gnp:6,0.5,1,9",
+])
+def test_generator_spec_takes_exactly_its_arguments(capsys, spec):
+    code, out, err = run(capsys, "certify", "--gen", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad generator spec"), err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["certify", "--gen", "path:4"], "witness"),
+    (["report", "--gen", "path:4", "--mode", "sparsity"], "argmin_cut"),
+    (["validate", "--partition", "BLOCKS", "--n", "4"], "uncovered_pairs"),
+])
+def test_key_value_csv_quotes_list_values(capsys, tmp_path, argv, key):
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("0 1\n2 3\n")
+    argv = [str(blocks) if a == "BLOCKS" else a for a in argv]
+    _, out, _ = run(capsys, *argv, "--format", "csv")
+    _, payload, _ = run(capsys, *argv, "--format", "json")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "value"] and all(len(row) == 2 for row in rows), out
+    value = json.loads(payload)[key]
+    assert len(value) > 1 and json.loads(dict(rows)[key]) == value
+
+
 def test_gnp_spec_matches_library(capsys):
     code, out, _ = run(capsys, "certify", "--gen", "gnp:10,0.5,42",
                        "--format", "json")
@@ -342,7 +372,8 @@ FORMATS = st.sampled_from(["human", "json", "csv"])
 SIZES = st.integers(0, 8)
 GEN_SPECS = st.one_of(
     st.sampled_from(["empty:0", "star:0", "gnp:5,2,1", "complete:", "moebius:3",
-                     "bipartite:0,2", "multipartite:", "path:-1", "gnp:4,0.5"]),
+                     "bipartite:0,2", "multipartite:", "path:-1", "gnp:4,0.5",
+                     "gnp:6,0.5,1,9"]),
     st.builds("star:{}".format, st.integers(0, 7)),
     st.builds("complete:{}".format, SIZES),
     st.builds("path:{}".format, SIZES),
@@ -430,9 +461,12 @@ def _call(argv):
 def test_every_input_ends_in_a_documented_exit_code(files, data):
     argv = data.draw(cli_calls(files))
     code, out, err = _call(argv)
+    fmt = argv[argv.index("--format") + 1]
     assert code in EXIT_CODES, (argv, code, err)
     if code == 2:
         assert out == "" and err.startswith("error: "), (argv, out, err)
-    elif argv[argv.index("--format") + 1] == "json":
+    elif fmt == "json":
         json.loads(out)
+    elif fmt == "csv" and argv[0] != "verify":
+        assert all(len(row) == 2 for row in csv.reader(io.StringIO(out))), (argv, out)
     assert _call(argv) == (code, out, err), argv

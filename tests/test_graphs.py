@@ -139,7 +139,7 @@ class TestMatrices:
         for i, u in enumerate(keep):
             for j, v in enumerate(keep):
                 if i < j:
-                    assert sub.has_edge(i, j) == g.has_edge(u, v)
+                    assert ((i, j) in sub.edges) == ((u, v) in g.edges)
 
 
 class TestGenerators:
@@ -198,10 +198,6 @@ class TestDesignGraph:
 
 
 class TestEdgeListFormat:
-    def test_round_trip(self):
-        g = graphs.random_gnp(7, 0.5, seed=9)
-        assert parse_edge_list(graphs.format_edge_list(g)).edges == g.edges
-
     def test_comments_and_blanks(self):
         text = "# a path\n3 2\n\n0 1  # first\n1 2\n"
         assert parse_edge_list(text).degrees == (1, 2, 1)

@@ -4,10 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cutcert import graphs, linalg, smallness
+from cutcert import graphs, linalg
 from cutcert.smallness import (
     SmallnessCertificate,
-    family_c,
     is_c_small,
     minimal_c,
     random_vector_probe,
@@ -82,7 +81,7 @@ class TestMinimalC:
         for g in corpus:
             cert = minimal_c(g)
             M = g.adjacency_matrix()
-            J = linalg.all_ones(g.n)
+            J = np.ones((g.n, g.n))
             if cert.small:
                 assert linalg.is_psd(cert.c_min * J - M).psd, sorted(g.edges)
                 below = cert.c_min - 2e-7
@@ -125,21 +124,6 @@ class TestMinimalC:
             else:
                 assert cert_padded.small
                 assert cert_padded.c_min <= cert.c_min + 1e-6
-
-
-class TestFamilyC:
-    def test_values(self):
-        assert family_c(smallness.FAMILY_STAR) == 0.5
-        assert family_c(smallness.FAMILY_COMPLETE_BIPARTITE) == 0.5
-        assert family_c(smallness.FAMILY_COMPLETE_MULTIPARTITE, 4) == 0.75
-
-    def test_bad_part_count(self):
-        with pytest.raises(ValueError):
-            family_c(smallness.FAMILY_COMPLETE_MULTIPARTITE, 1)
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            family_c("wheel")
 
 
 class TestRandomVectorProbe:

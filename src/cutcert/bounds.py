@@ -116,57 +116,58 @@ IDENTITY_NAMES = (
 )
 
 
-def _cut_vector(n: int, S) -> tuple[np.ndarray, float, float]:
-    """The signed cut vector x of S, with p = |S|/n and q = 1 - p.
+def _cut_vector(n: int, S) -> np.ndarray:
+    """The integer cut vector X = n*x of S, where x is q on S and -p off S.
 
-    x is q on S and -p off S, so its coordinates sum to zero. S must already
-    be validated: a negative vertex would silently index from the end.
+    With s = |S| and t = n - s, X is t on S and -s off S, so its coordinates
+    sum to exactly zero. S must already be validated: a negative vertex would
+    silently index from the end.
     """
-    p = len(S) / n
-    q = 1.0 - p
-    x = np.full(n, -p)
-    x[list(S)] = q
-    return x, p, q
+    s = len(S)
+    X = np.full(n, -s, dtype=np.int64)
+    X[list(S)] = n - s
+    return X
 
 
 def identity_suite(graph: Graph, members) -> dict[str, float]:
     """Absolute residuals of the cut-vector identities for a proper cut.
 
-    Every residual must vanish (up to rounding) for any graph and any
-    nonempty proper S; a trivial cut degenerates the vector and is rejected,
-    and a vertex outside [0, n) raises ``GraphInputError``. The edge counts
-    come from ``cut_stats``, independently of the quadratic forms, which read
-    the graph's cached dense matrices; nothing per cut rebuilds a matrix.
+    The identities are evaluated exactly, in integers on X = n*x, and the
+    residuals are reported in the units of x (divided by n^2, or 2n^2 for
+    the pair products), so every residual is exactly 0 for any graph and
+    any nonempty proper S: a nonzero one is a bug, not rounding. A trivial
+    cut degenerates the vector and is rejected, and a vertex outside [0, n)
+    raises ``GraphInputError``. The edge counts come from ``cut_stats``,
+    independently of the quadratic forms, which read the graph's cached
+    integer matrix stack; nothing per cut rebuilds a matrix.
     """
     S = frozenset(members)
     n = graph.n
     if not S or len(S) >= n:
         raise BoundDomainError("identities need a nonempty proper subset S")
-    stats = cut_stats(graph, S)  # validates S before x is indexed by it
-    x, p, q = _cut_vector(n, S)
-    d = np.asarray(graph.degrees, dtype=float)
-    A = graph.adjacency_matrix()
-    L = graph.laplacian_matrix()
-
-    xLx = float(x @ L @ x)
-    xAx = float(x @ A @ x)
-    deg_sq = float(d @ (x * x))
-    pair_products = (float(x.sum()) ** 2 - float(x @ x)) / 2.0
+    stats = cut_stats(graph, S)  # validates S before X is indexed by it
+    s, t = len(S), n - len(S)
+    X = _cut_vector(n, S)
+    # int64 is exact: every row of the stack has absolute sum <= 2n and
+    # |X_v| <= n, so each partial sum is at most 2n^4 < 2^63 for any n whose
+    # dense matrices fit in memory.
+    XLX, XAX, XDX, sum_sq, XX = ((graph.form_stack @ X).reshape(5, n) @ X).tolist()
     deg_S = sum(graph.degrees[v] for v in S)
     deg_Sc = sum(graph.degrees[v] for v in range(n) if v not in S)
+    n2 = n * n
 
     return {
-        ID_CROSSING_LAPLACIAN: abs(stats.crossing - xLx),
-        ID_LAPLACIAN_SPLIT: abs(xLx - (deg_sq - xAx)),
-        ID_PAIR_PRODUCTS: abs(pair_products - (-0.5 * p * q * n)),
+        ID_CROSSING_LAPLACIAN: abs(n2 * stats.crossing - XLX) / n2,
+        ID_LAPLACIAN_SPLIT: abs(XLX - (XDX - XAX)) / n2,
+        ID_PAIR_PRODUCTS: abs(sum_sq - XX + s * t * n) / (2 * n2),
         ID_HANDSHAKE_S: abs(deg_S - (2 * stats.e_in + stats.crossing)),
         ID_HANDSHAKE_SC: abs(deg_Sc - (2 * stats.e_out + stats.crossing)),
         ID_DEGREE_WEIGHTED: abs(
-            deg_sq
+            XDX
             - (
-                2.0 * q * q * stats.e_in
-                + 2.0 * p * p * stats.e_out
-                + (p * p + q * q) * stats.crossing
+                2 * t * t * stats.e_in
+                + 2 * s * s * stats.e_out
+                + (s * s + t * t) * stats.crossing
             )
-        ),
+        ) / n2,
     }

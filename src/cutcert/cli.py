@@ -51,7 +51,7 @@ def _parse_gen(spec: str) -> graphs.Graph:
     if name not in _GENERATORS:
         raise CliInputError(f"unknown generator {name!r} in spec {spec!r}")
     builder, types = _GENERATORS[name]
-    args = [a for a in argstr.split(",") if a]
+    args = argstr.split(",") if argstr else []
     usage = ",".join("..." if t is ... else t.__name__ for t in types)
     if types[-1] is ...:
         types = types[:-1] * max(len(args), 1)

@@ -266,7 +266,7 @@ def _evaluate(graph, partition, kind, variant, stat_chunks, mode, seed, trials, 
     violations = []
     if reason is None:
         need, value = _bound_tables(kind, variant, cert.c, graph)
-        suffix = [(f",{b!r},fail\n", f",{b!r},pass\n") for b in value.tolist()]
+        bound_text = [repr(b) for b in value.tolist()]
     else:
         stat_chunks = ()
     if csv is not None:
@@ -283,9 +283,17 @@ def _evaluate(graph, partition, kind, variant, stat_chunks, mode, seed, trials, 
                               e_out[fail].tolist(), crossing[fail].tolist(),
                               bound[fail].tolist()))
         if csv is not None:
-            csv.writelines(f"{mask},{i},{o},{x}{suffix[e][ok]}" for mask, i, o, x, e, ok in zip(
-                masks.tolist(), e_in.tolist(), e_out.tolist(), crossing.tolist(),
-                e_min.tolist(), passes.tolist()))
+            # (e_in, crossing) fixes the rest of the row after the mask, so
+            # each distinct pair is formatted once per chunk
+            _, first, which = np.unique(e_in * (graph.m + 1) + crossing,
+                                        return_index=True, return_inverse=True)
+            tails = [f",{i},{o},{x},{bound_text[e]},{'pass' if ok else 'fail'}\n"
+                     for i, o, x, e, ok in zip(
+                         e_in[first].tolist(), e_out[first].tolist(),
+                         crossing[first].tolist(), e_min[first].tolist(),
+                         passes[first].tolist())]
+            csv.write("".join([f"{mask}{tails[k]}"
+                               for mask, k in zip(masks.tolist(), which.tolist())]))
     return VerificationReport(
         graph_n=graph.n,
         graph_edges=graph.m,

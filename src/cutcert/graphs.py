@@ -67,6 +67,19 @@ class Graph:
         L.flags.writeable = False
         return A, L
 
+    @cached_property
+    def form_stack(self) -> np.ndarray:
+        """int64 stack [L; A; diag(d); J; I] of shape (5n, n), read-only.
+
+        For an integer vector X, ``(form_stack @ X).reshape(5, n) @ X`` is
+        (X'LX, X'AX, X'diag(d)X, (sum X)^2, X'X) in two products.
+        """
+        A, L = self._dense
+        stack = np.vstack([L, A, np.diag(self.degrees), np.ones((self.n, self.n)),
+                           np.eye(self.n)]).astype(np.int64)
+        stack.flags.writeable = False
+        return stack
+
     def adjacency_matrix(self) -> np.ndarray:
         return self._dense[0]
 

@@ -47,6 +47,8 @@ class PartitionValidationReport:
 
 def validate(n: int, blocks: Iterable[Iterable[int]]) -> PartitionValidationReport:
     """Exhaustive audit of the block-size and pair-coverage conditions."""
+    if n < 0:
+        raise PartitionError(f"ground-set size must be nonnegative, got {n}")
     blocks = _canon_blocks(blocks)
     for block in blocks:
         for v in block:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -181,7 +182,7 @@ class TestMinimizerLocation:
 class TestIdentitySuite:
     def test_path_single_vertex_cut(self):
         residuals = identity_suite(graphs.path(4), {0})
-        assert max(residuals.values()) <= 1e-9
+        assert max(residuals.values()) == 0
         # spot value behind the pair-products identity
         x = np.array([0.75, -0.25, -0.25, -0.25])
         pair_sum = sum(
@@ -194,7 +195,7 @@ class TestIdentitySuite:
         g = graphs.complete(4)
         x = np.array([0.5, 0.5, -0.5, -0.5])
         assert float(x @ g.laplacian_matrix() @ x) == pytest.approx(4.0)
-        assert identity_suite(g, {0, 1})[bounds.ID_CROSSING_LAPLACIAN] <= 1e-12
+        assert identity_suite(g, {0, 1})[bounds.ID_CROSSING_LAPLACIAN] == 0
 
     def test_trivial_cuts_rejected(self):
         g = graphs.complete(3)
@@ -214,28 +215,50 @@ class TestIdentitySuite:
         for seed in range(6):
             g = graphs.random_gnp(7, 0.5, seed=seed)
             for S in enumerate_cuts(g):
-                assert max(identity_suite(g, S).values()) <= 1e-9
+                assert max(identity_suite(g, S).values()) == 0
+
+    @pytest.mark.parametrize("g", [graphs.complete(26), graphs.random_gnp(24, 0.5, 7)],
+                             ids=["K26", "G(24,1/2)"])
+    def test_residuals_exactly_zero_on_random_cuts(self, g):
+        # evaluated in floats on x, these residuals reached about 1e-13
+        rng = random.Random(2024)
+        for _ in range(2000):
+            S = rng.sample(range(g.n), rng.randrange(1, g.n))
+            assert set(identity_suite(g, S).values()) == {0}, S
+
+    def test_checks_are_independent_of_the_edge_counts(self, monkeypatch):
+        def off_by_one(graph, members):
+            stats = graphs.cut_stats(graph, members)
+            return graphs.CutStats(stats.e_in, stats.e_out, stats.crossing + 1)
+
+        monkeypatch.setattr(bounds, "cut_stats", off_by_one)
+        residuals = identity_suite(graphs.random_gnp(10, 0.5, 3), {0, 2, 5})
+        assert residuals[bounds.ID_CROSSING_LAPLACIAN] == 1.0
+        assert residuals[bounds.ID_HANDSHAKE_S] != 0
+        assert residuals[bounds.ID_HANDSHAKE_SC] != 0
+        assert residuals[bounds.ID_DEGREE_WEIGHTED] != 0
+        # the two identities that never read the edge counts still hold
+        assert residuals[bounds.ID_LAPLACIAN_SPLIT] == 0
+        assert residuals[bounds.ID_PAIR_PRODUCTS] == 0
 
 
 class TestCutVector:
-    """The signed vector x the identity suite builds: q on S, -p off S."""
+    """The integer vector X = n*x the identity suite builds: t on S, -s off S."""
 
     def test_single_vertex(self):
-        x, p, q = bounds._cut_vector(4, frozenset({0}))
-        assert (p, q) == (0.25, 0.75)
-        assert np.allclose(x, [0.75, -0.25, -0.25, -0.25])
+        X = bounds._cut_vector(4, frozenset({0}))
+        assert X.dtype == np.int64
+        assert X.tolist() == [3, -1, -1, -1]
 
     def test_half(self):
-        x, _, _ = bounds._cut_vector(2, frozenset({0}))
-        assert np.allclose(x, [0.5, -0.5])
+        assert bounds._cut_vector(2, frozenset({0})).tolist() == [1, -1]
 
     def test_full_side_is_zero(self):
-        x, _, _ = bounds._cut_vector(4, frozenset(range(4)))
-        assert np.allclose(x, 0.0)
+        assert bounds._cut_vector(4, frozenset(range(4))).tolist() == [0, 0, 0, 0]
 
     def test_sums_to_zero(self):
         for k in range(1, 7):
-            x, p, q = bounds._cut_vector(7, frozenset(range(k)))
-            assert p == k / 7 and q == 1.0 - p
-            assert np.allclose(x[:k], q) and np.allclose(x[k:], -p)
-            assert abs(x.sum()) < 1e-12
+            X = bounds._cut_vector(7, frozenset(range(k)))
+            assert X[:k].tolist() == [7 - k] * k
+            assert X[k:].tolist() == [-k] * (7 - k)
+            assert X.sum() == 0

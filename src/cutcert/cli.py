@@ -154,19 +154,23 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.valid else EXIT_NEGATIVE
 
 
+def _resolve_sampling(args) -> tuple[int | None, int]:
+    """verify_bound's trials and seed, which only --mode sample sets."""
+    if args.mode == "sample":
+        return (1000 if args.trials is None else args.trials,
+                0 if args.seed is None else args.seed)
+    if args.trials is not None or args.seed is not None:
+        raise CliInputError("--trials and --seed need --mode sample")
+    return None, 0
+
+
 def cmd_verify(args) -> int:
+    trials, seed = _resolve_sampling(args)
     graph = _resolve_graph(args)
     partition = _resolve_partition(args.partition, graph.n)
     csv_out = sys.stdout if args.format == "csv" else None
-    if args.mode == "sample":
-        report = cuts.sample_cuts_verify(
-            graph, partition, kind=args.bound, trials=args.trials, seed=args.seed,
-            variant=args.variant, csv=csv_out,
-        )
-    else:
-        report = cuts.verify_bound(
-            graph, partition, kind=args.bound, variant=args.variant, csv=csv_out,
-        )
+    report = cuts.verify_bound(graph, partition, kind=args.bound, variant=args.variant,
+                               trials=trials, seed=seed, csv=csv_out)
     if csv_out is None:
         _emit(report.to_dict(), args.format)
     if not report.applicable:
@@ -238,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=(bounds.AS_STATED, bounds.TIGHT),
                    default=bounds.AS_STATED)
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, help="sampled cuts (default 1000); needs --mode sample")
+    p.add_argument("--seed", type=int, help="sampling seed (default 0); needs --mode sample")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -63,6 +63,20 @@ def _exhaustive_masks(n: int):
         yield 1 | (t << 1)
 
 
+def _sampled_masks(n: int, trials: int, seed: int):
+    rng = np.random.default_rng(seed)
+    full = (1 << n) - 1
+    done = 0
+    while done < trials:
+        k = min(_CHUNK, trials - done)
+        masks = rng.integers(1, full, size=k, dtype=np.int64, endpoint=False)
+        # canonical side contains vertex 0
+        flip = (masks & 1) == 0
+        masks[flip] ^= full
+        yield masks
+        done += k
+
+
 def _mask_stats(graph: Graph, masks: np.ndarray):
     """Cut statistics (e_in, e_out, crossing) for an array of bitmask cuts.
 
@@ -249,11 +263,33 @@ def _bound_tables(kind: str, variant: str, c, graph: Graph):
     return np.array([math.ceil(b) for b in exact]), np.array([float(b) for b in exact])
 
 
-def _evaluate(graph, partition, kind, variant, stat_chunks, mode, seed, trials, csv):
-    """The report over chunks of (masks, e_in, e_out, crossing); an
-    inapplicable bound examines none. A text stream csv gets the header once
-    the bound is settled, then each chunk's rows as soon as it is evaluated."""
-    dom = replication_degree_check(graph, partition)
+def verify_bound(
+    graph: Graph,
+    partition: PairPartition,
+    kind: str = KIND_BASE,
+    variant: str = bounds.AS_STATED,
+    trials: int | None = None,
+    seed: int = 0,
+    csv=None,
+) -> VerificationReport:
+    """Check the cut bound against every nontrivial cut of the graph or,
+    given trials, against that many uniformly sampled cuts, deterministic
+    per seed. An inapplicable bound examines none. A text stream csv gets
+    the header once the bound is settled, then each chunk's rows as soon as
+    it is evaluated."""
+    if trials is None:
+        _cut_count(graph.n)  # the cap holds whatever the certificate says
+        stat_chunks = _exhaustive_stats(graph)
+    else:
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        if graph.n > 62:
+            raise CutCapError("sampled bitmask cuts support n <= 62")
+        if graph.n < 2:
+            raise ValueError("sampling needs n >= 2")
+        stat_chunks = ((masks, *_mask_stats(graph, masks))
+                       for masks in _sampled_masks(graph.n, trials, seed))
+    failing = replication_degree_check(graph, partition)
     cert = partition_certificate(graph, partition)
     reason = None
     if not cert.small:
@@ -303,65 +339,12 @@ def _evaluate(graph, partition, kind, variant, stat_chunks, mode, seed, trials, 
         c=None if reason else float(cert.c),
         bound_kind=kind,
         variant=variant,
-        degree_dominance_ok=dom.ok,
-        degree_dominance_failures=dom.failing_vertices,
-        mode=mode,
-        seed=seed,
+        degree_dominance_ok=not failing,
+        degree_dominance_failures=failing,
+        mode=MODE_EXHAUSTIVE if trials is None else MODE_SAMPLED,
+        seed=None if trials is None else seed,
         trials=trials,
         cuts_examined=examined,
         worst_ratio=worst,
         violations=tuple(violations),
-    )
-
-
-def verify_bound(
-    graph: Graph,
-    partition: PairPartition,
-    kind: str = KIND_BASE,
-    variant: str = bounds.AS_STATED,
-    csv=None,
-) -> VerificationReport:
-    """Check the cut bound against every nontrivial cut of the graph."""
-    _cut_count(graph.n)  # the cap holds whatever the certificate says
-    return _evaluate(
-        graph, partition, kind, variant, _exhaustive_stats(graph),
-        MODE_EXHAUSTIVE, None, None, csv,
-    )
-
-
-def _sampled_masks(n: int, trials: int, seed: int):
-    rng = np.random.default_rng(seed)
-    full = (1 << n) - 1
-    done = 0
-    while done < trials:
-        k = min(_CHUNK, trials - done)
-        masks = rng.integers(1, full, size=k, dtype=np.int64, endpoint=False)
-        # canonical side contains vertex 0
-        flip = (masks & 1) == 0
-        masks[flip] ^= full
-        yield masks
-        done += k
-
-
-def sample_cuts_verify(
-    graph: Graph,
-    partition: PairPartition,
-    kind: str = KIND_BASE,
-    trials: int = 1000,
-    seed: int = 0,
-    variant: str = bounds.AS_STATED,
-    csv=None,
-) -> VerificationReport:
-    """Bound verification over uniformly sampled cuts; deterministic per seed."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if graph.n > 62:
-        raise CutCapError("sampled bitmask cuts support n <= 62")
-    if graph.n < 2:
-        raise ValueError("sampling needs n >= 2")
-    return _evaluate(
-        graph, partition, kind, variant,
-        ((masks, *_mask_stats(graph, masks))
-         for masks in _sampled_masks(graph.n, trials, seed)),
-        MODE_SAMPLED, seed, trials, csv,
     )

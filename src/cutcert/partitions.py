@@ -98,29 +98,19 @@ class PairPartition:
 # Structural checks against a graph
 
 
-@dataclass(frozen=True)
-class DegreeDominanceReport:
+def replication_degree_check(graph: Graph, partition: PairPartition) -> tuple[int, ...]:
     """Vertices whose replication r_v exceeds their degree d_v.
 
     r_v <= d_v everywhere is the unstated hypothesis the cut-bound proof
     leans on; it is reported, never enforced.
     """
-
-    failing_vertices: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failing_vertices
-
-
-def replication_degree_check(graph: Graph, partition: PairPartition) -> DegreeDominanceReport:
     if graph.n != partition.n:
         raise PartitionError(
             f"size mismatch: graph has {graph.n} vertices, partition {partition.n}"
         )
-    return DegreeDominanceReport(tuple(
+    return tuple(
         v for v, (r, d) in enumerate(zip(partition.replication, graph.degrees)) if r > d
-    ))
+    )
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,16 @@ class TestVerify:
         assert code == 2
         assert "9 points" in err
 
+    def test_affine_partition(self, capsys):
+        code, out, _ = run(capsys, "verify", "--gen", "complete:9",
+                           "--partition", "affine:3", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["partition"]["blocks"] == 12
+        assert abs(payload["c"] - 2 / 3) < 1e-12
+        assert payload["cuts_examined"] == 255
+        assert payload["violations"] == []
+
     def test_blocks_file_partition(self, capsys, tmp_path):
         f = tmp_path / "blocks.txt"
         f.write_text(NEAR_PENCIL_BLOCKS)
@@ -179,6 +189,30 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["mode"] == "sampled"
         assert payload["cuts_examined"] == 50
+
+    @pytest.mark.parametrize("flags, err", [
+        (["--trials", "7"], "--trials and --seed need --mode sample"),
+        (["--seed", "3"], "--trials and --seed need --mode sample"),
+        (["--trials", "7", "--seed", "3"], "--trials and --seed need --mode sample"),
+        (["--mode", "exhaustive", "--trials", "1000"], "--trials and --seed need --mode sample"),
+        (["--mode", "sample", "--trials", "0"], "trials must be >= 1, got 0"),
+    ])
+    @pytest.mark.parametrize("fmt", ["human", "csv"])
+    def test_rejected_sampling_flags(self, capsys, flags, err, fmt):
+        code, out, got = run(capsys, "verify", "--gen", "complete:5",
+                             "--partition", "trivial", *flags, "--format", fmt)
+        assert code == 2 and out == ""
+        assert got == f"error: {err}\n"
+
+    @pytest.mark.parametrize("flags, examined, seed", [
+        ([], 1000, 0), (["--trials", "7"], 7, 0), (["--seed", "3"], 1000, 3)])
+    def test_sample_mode_defaults(self, capsys, flags, examined, seed):
+        code, out, _ = run(capsys, "verify", "--gen", "complete:5", "--partition", "trivial",
+                           "--mode", "sample", *flags, "--format", "json")
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["cuts_examined"], payload["trials"], payload["seed"]) == (
+            examined, examined, seed)
 
     def test_csv_rows(self, capsys):
         code, out, _ = run(capsys, "verify", "--gen", "complete:4",
@@ -387,6 +421,8 @@ def test_generator_specs_cover_families(capsys):
     "gnp:6,0.5", "gnp:6,0.5,1,9",
     # an empty field is an argument too, not one to skip
     "gnp:4,,0.5,1", "star:5,", "complete:,5",
+    # and each field must parse as its type
+    "gnp:x,0.5,1", "complete:1.5", "gnp:6,half,1",
 ])
 def test_generator_spec_takes_exactly_its_arguments(capsys, spec):
     code, out, err = run(capsys, "certify", "--gen", spec)
@@ -501,6 +537,8 @@ def cli_calls(draw, paths):
     if draw(st.booleans()):
         argv += ["--mode", "sample", "--trials", str(draw(st.integers(-1, 40))),
                  "--seed", str(draw(st.integers(0, 3)))]
+    elif draw(st.booleans()):  # a sampling flag without --mode sample
+        argv += [draw(st.sampled_from(["--trials", "--seed"])), str(draw(st.integers(-1, 40)))]
     return argv
 
 

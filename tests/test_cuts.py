@@ -16,7 +16,6 @@ from cutcert.cuts import (
     _sampled_masks,
     enumerate_cuts,
     fiedler_value,
-    sample_cuts_verify,
     sparsity_profile,
     verify_bound,
 )
@@ -293,7 +292,7 @@ def test_verdicts_match_integer_forms():
 
 class TestSampleCutsVerify:
     def test_subset_of_exhaustive(self):
-        report = sample_cuts_verify(
+        report = verify_bound(
             graphs.complete(5), partitions.near_pencil(5), trials=100, seed=1
         )
         assert report.mode == "sampled"
@@ -301,19 +300,19 @@ class TestSampleCutsVerify:
         assert report.violations == ()
 
     def test_deterministic(self):
-        a = sample_cuts_verify(BOWTIE_BRIDGE, partitions.all_pairs_partition(6),
-                               trials=500, seed=9)
-        b = sample_cuts_verify(BOWTIE_BRIDGE, partitions.all_pairs_partition(6),
-                               trials=500, seed=9)
+        a = verify_bound(BOWTIE_BRIDGE, partitions.all_pairs_partition(6),
+                         trials=500, seed=9)
+        b = verify_bound(BOWTIE_BRIDGE, partitions.all_pairs_partition(6),
+                         trials=500, seed=9)
         assert a.to_dict() == b.to_dict()
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
-            sample_cuts_verify(graphs.complete(4), partitions.trivial_partition(4),
-                               trials=0)
+            verify_bound(graphs.complete(4), partitions.trivial_partition(4),
+                         trials=0)
 
     def test_finds_known_violation_with_enough_trials(self):
-        report = sample_cuts_verify(
+        report = verify_bound(
             BOWTIE_BRIDGE, partitions.all_pairs_partition(6), trials=2000, seed=0
         )
         assert any(set(v.members) == {0, 1, 2} for v in report.violations)

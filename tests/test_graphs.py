@@ -213,3 +213,11 @@ class TestEdgeListFormat:
     def test_missing_header(self):
         with pytest.raises(GraphInputError, match="header"):
             parse_edge_list("# nothing\n")
+
+    def test_header_takes_two_fields(self):
+        with pytest.raises(GraphInputError, match="line 1: header must be 'n m'"):
+            parse_edge_list("3 1 7\n0 1\n")
+
+    def test_edge_line_takes_two_fields(self):
+        with pytest.raises(GraphInputError, match="line 2: edge line must be 'u v'"):
+            parse_edge_list("3 1\n0 1 2\n")

@@ -96,29 +96,26 @@ class TestPartitionInvariants:
     def test_design_complete_blocks_dominate_degrees(self):
         for p in (near_pencil(7), affine_plane(3), all_pairs_partition(6)):
             g = graphs.design_graph(p.n, p.blocks, "complete")
-            assert replication_degree_check(g, p).ok
+            assert replication_degree_check(g, p) == ()
 
 
 class TestReplicationDegreeCheck:
     def test_k5_near_pencil(self):
         p = near_pencil(5)
         assert p.replication == (2, 2, 2, 2, 4)
-        report = replication_degree_check(graphs.complete(5), p)
-        assert report.ok and report.failing_vertices == ()
+        assert replication_degree_check(graphs.complete(5), p) == ()
 
     def test_isolated_vertex_always_fails(self):
         g = graphs.from_edge_list(4, [(0, 1), (0, 2), (1, 2)])  # vertex 3 isolated
-        report = replication_degree_check(g, all_pairs_partition(4))
-        assert not report.ok
-        assert 3 in report.failing_vertices
+        failing = replication_degree_check(g, all_pairs_partition(4))
+        assert failing
+        assert 3 in failing
 
     def test_bowtie_all_pairs_fails(self):
         g = graphs.from_edge_list(
             6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]
         )
-        report = replication_degree_check(g, all_pairs_partition(6))
-        assert not report.ok
-        assert report.failing_vertices == (0, 1, 2, 3, 4, 5)
+        assert replication_degree_check(g, all_pairs_partition(6)) == (0, 1, 2, 3, 4, 5)
 
     def test_size_mismatch(self):
         with pytest.raises(PartitionError, match="mismatch"):

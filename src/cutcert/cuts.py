@@ -5,15 +5,20 @@ split {S, S^c} is then seen exactly once. Exhaustive enumeration covers all
 2^(n-1) - 1 nontrivial cuts (capped at n = 26); beyond that, sampling with a
 fixed seed gives reproducible spot checks.
 
-Cuts are int64 bitmasks, handled a chunk at a time. The exhaustive path
-splits each cut S into a high half H (vertices b..n-1) and a low half L
-(vertices 0..b-1, b = min(n, 16)), meet-in-the-middle style: the L terms
-come from tables built once, and one chunk per H adds the H terms and the
-edges between H and L, O(1) amortized work per cut. Sampled cuts take one
+Cuts are int64 bitmasks, handled a chunk at a time. With m edges, e(S^c) =
+m - e(S) - e(S, S^c), so everything the bound asks of a cut follows from
+its key e(S)·(m + 1) + e(S, S^c), one integer below (m + 1)^2; the kernels
+produce keys and nothing else. The exhaustive path splits each cut S into a
+high half H (vertices b..n-1) and a low half L (vertices 0..b-1,
+b = min(n, 16)), meet-in-the-middle style: the L terms of the key come from
+a table built once, and one chunk per H adds the H terms and the edges
+between H and L, O(1) amortized work per cut. Sampled cuts take one
 popcount of the masks ANDed with each vertex's adjacency bitmask: O(n)
-vector operations per chunk, whatever the edge count. Verification writes
-each chunk's CSV rows as soon as the chunk is evaluated, so memory does not
-grow with the number of cuts.
+vector operations per chunk, whatever the edge count, in int32 below 32
+vertices. Verification keeps an int8 verdict per key (unseen, pass, fail):
+a chunk gathers its verdicts and decodes only the keys not seen before,
+which also give the worst ratio. Each chunk's CSV rows are written as soon
+as the chunk is checked, so memory does not grow with the number of cuts.
 """
 from __future__ import annotations
 
@@ -77,59 +82,71 @@ def _sampled_masks(n: int, trials: int, seed: int):
         done += k
 
 
-def _mask_stats(graph: Graph, masks: np.ndarray):
-    """Cut statistics (e_in, e_out, crossing) for an array of bitmask cuts.
-
-    Over the vertices v in S, popcount(adj_v & S) counts each edge inside S
-    twice, and deg_v counts it twice and each crossing edge once.
-    """
-    twice_in = np.zeros(masks.shape, dtype=np.int64)
-    degree_sum = np.zeros(masks.shape, dtype=np.int64)
-    for v, (nbrs, deg) in enumerate(zip(graph.adjacency_masks, graph.degrees)):
-        inside = (masks >> v) & 1
-        twice_in += inside * np.bitwise_count(masks & nbrs)
-        degree_sum += inside * deg
-    e_in = twice_in // 2
-    crossing = degree_sum - twice_in
+def _decode(graph: Graph, keys):
+    """(e_in, e_out, crossing) of cut keys e_in * (m + 1) + crossing."""
+    e_in, crossing = np.divmod(keys, graph.m + 1)
     return e_in, graph.m - e_in - crossing, crossing
 
 
-def _exhaustive_stats(graph: Graph):
-    """Yield (masks, e_in, e_out, crossing) for every canonical cut, ascending.
+def _mask_keys(graph: Graph, masks: np.ndarray) -> np.ndarray:
+    """The key of each bitmask cut: int32 below 32 vertices, else int64.
+
+    Over the vertices v in S, popcount(adj_v & S) counts each edge inside S
+    twice, and deg_v counts it twice and each crossing edge once. Below 32
+    vertices the masks and keys fit int32, which halves the bytes each of
+    the O(n) vector operations moves.
+    """
+    dtype = np.int32 if graph.n < 32 else np.int64
+    masks = masks.astype(dtype, copy=False)
+    twice_in = np.zeros(masks.shape, dtype=dtype)
+    degree_sum = np.zeros(masks.shape, dtype=dtype)
+    inside = np.empty_like(twice_in)
+    term = np.empty_like(twice_in)
+    for v, (nbrs, deg) in enumerate(zip(graph.adjacency_masks, graph.degrees)):
+        np.bitwise_and(np.right_shift(masks, v, out=inside), 1, out=inside)
+        np.bitwise_count(np.bitwise_and(masks, nbrs, out=term), out=term)
+        twice_in += np.multiply(inside, term, out=term)
+        degree_sum += np.multiply(inside, deg, out=term)
+    # e_in * (m + 1) + crossing, with crossing = degree_sum - twice_in
+    return (twice_in >> 1) * (graph.m + 1) + degree_sum - twice_in
+
+
+def _exhaustive_keys(graph: Graph):
+    """Yield (masks, int32 keys) for every canonical cut, masks ascending.
 
     Meet in the middle (Horowitz and Sahni, 1974): S = H | L with L over the
-    low b bits and H over the rest, so e(S) = e(L) + e(H) + e(H, L) and
-    crossing = deg(L) + deg(H) - 2e(S). e(L) and deg(L) are tables over the
-    odd L (vertex 0 is always in S), built once by doubling. Each H is one
-    chunk, masks H << b | L, and e(H, L) sums w_v = |N(v) & H| over v in L,
-    doubled the same way. The all-ones mask is dropped.
+    low b bits and H over the rest. As crossing = deg(S) - 2e(S), the key is
+    (m - 1)e(S) + deg(S), and e(S) = e(L) + e(H) + e(H, L). The L terms
+    (m - 1)e(L) + deg(L) are a table over the odd L (vertex 0 is always in
+    S), built once by doubling. Each H is one chunk, masks H << b | L, whose
+    table adds the H terms (m - 1)(e(H) + e(H, L)) + deg(H); e(H, L) sums
+    w_v = |N(v) & H| over v in L, doubled the same way. The all-ones mask is
+    dropped.
     """
     if not _cut_count(graph.n):
         return
     b = min(graph.n, _LOW_BITS)
     adj, deg = graph.adjacency_masks, graph.degrees
+    w = np.int32(graph.m - 1)  # typed, as popcounts are uint8
     low = np.ones(1, dtype=np.int64)
-    in_low = np.zeros(1, dtype=np.int64)
-    deg_low = np.array([deg[0]], dtype=np.int64)
+    key_low = np.array([deg[0]], dtype=np.int32)
     for v in range(1, b):
-        in_low = np.concatenate([in_low, in_low + np.bitwise_count(low & adj[v])])
-        deg_low = np.concatenate([deg_low, deg_low + deg[v]])
+        key_low = np.concatenate([key_low, key_low + w * np.bitwise_count(low & adj[v])
+                                  + deg[v]])
         low = np.concatenate([low, low | 1 << v])
-    across = np.empty_like(low)
+    across = np.empty_like(key_low)
     last = (1 << (graph.n - b)) - 1
     for h in range(last + 1):
         high = h << b
         members = [v for v in range(b, graph.n) if high >> v & 1]
-        # seeded with e(H), so entry L ends up as e(H) + e(H, L)
-        across[0] = (sum((adj[v] & high).bit_count() for v in members) // 2
-                     + (adj[0] & high).bit_count())
+        # seeded with the terms of L = {0}, so entry L ends up as the H terms
+        across[0] = w * (sum((adj[v] & high).bit_count() for v in members) // 2
+                         + (adj[0] & high).bit_count()) + sum(deg[v] for v in members)
         for v in range(1, b):
             k = 1 << (v - 1)
-            np.add(across[:k], (adj[v] & high).bit_count(), out=across[k:2 * k])
-        e_in = in_low + across
-        crossing = deg_low + sum(deg[v] for v in members) - 2 * e_in
-        stats = (low | high, e_in, graph.m - e_in - crossing, crossing)
-        yield stats if h < last else tuple(a[:-1] for a in stats)
+            np.add(across[:k], w * (adj[v] & high).bit_count(), out=across[k:2 * k])
+        masks, keys = low | high, key_low + across
+        yield (masks, keys) if h < last else (masks[:-1], keys[:-1])
 
 
 def _mask_members(mask: int) -> tuple[int, ...]:
@@ -167,10 +184,15 @@ class SparsityProfile:
 
 
 def sparsity_profile(graph: Graph) -> SparsityProfile:
+    # the ratio of every key, the same division per key as per cut; the cap
+    # comes first, as n <= 26 keeps the table within 326^2 entries
+    _cut_count(graph.n)
+    e_in, e_out, crossing = _decode(graph, np.arange((graph.m + 1) ** 2))
+    e_min = np.minimum(e_in, e_out)
+    ratio_of = np.divide(crossing, e_min, out=np.full(len(e_min), math.inf), where=e_min > 0)
     best, best_cut = math.inf, None
-    for masks, e_in, e_out, crossing in _exhaustive_stats(graph):
-        e_min = np.minimum(e_in, e_out)
-        ratios = np.divide(crossing, e_min, out=np.full(len(masks), math.inf), where=e_min > 0)
+    for masks, keys in _exhaustive_keys(graph):
+        ratios = ratio_of.take(keys)
         i = int(np.argmin(ratios))
         if ratios[i] < best:
             best, best_cut = float(ratios[i]), int(masks[i])
@@ -279,16 +301,18 @@ def verify_bound(
     it is evaluated."""
     if trials is None:
         _cut_count(graph.n)  # the cap holds whatever the certificate says
-        stat_chunks = _exhaustive_stats(graph)
+        key_chunks = _exhaustive_keys(graph)
     else:
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         if graph.n > 62:
             raise CutCapError("sampled bitmask cuts support n <= 62")
         if graph.n < 2:
             raise ValueError("sampling needs n >= 2")
-        stat_chunks = ((masks, *_mask_stats(graph, masks))
-                       for masks in _sampled_masks(graph.n, trials, seed))
+        key_chunks = ((masks, _mask_keys(graph, masks))
+                      for masks in _sampled_masks(graph.n, trials, seed))
     failing = replication_degree_check(graph, partition)
     cert = partition_certificate(graph, partition)
     reason = None
@@ -304,30 +328,38 @@ def verify_bound(
         need, value = _bound_tables(kind, variant, cert.c, graph)
         bound_text = [repr(b) for b in value.tolist()]
     else:
-        stat_chunks = ()
+        key_chunks = ()
+    # the verdict of each key once it is seen: 0 unseen, 1 pass, 2 fail
+    memo = np.zeros((graph.m + 1) ** 2, dtype=np.int8)
     if csv is not None:
         csv.write("cut_bitmask,e_in,e_out,crossing,bound,pass\n")
-    for masks, e_in, e_out, crossing in stat_chunks:
-        e_min = np.minimum(e_in, e_out)
-        passes = crossing >= need[e_min]
-        bound = value[e_min]
+    for masks, keys in key_chunks:
         examined += len(masks)
-        ratios = np.divide(crossing, bound, out=np.full(len(masks), math.inf), where=bound > 0)
-        worst = min(worst, float(ratios.min()))
-        fail = ~passes
-        violations.extend(map(Violation, masks[fail].tolist(), e_in[fail].tolist(),
-                              e_out[fail].tolist(), crossing[fail].tolist(),
-                              bound[fail].tolist()))
+        verdict = memo.take(keys)
+        fresh = verdict == 0
+        if fresh.any():
+            new = keys[fresh]
+            e_in, e_out, crossing = _decode(graph, new)
+            e_min = np.minimum(e_in, e_out)
+            verdict[fresh] = memo[new] = np.where(crossing >= need[e_min], 1, 2)
+            # the smallest crossing / bound, one float division per new key
+            bound = value[e_min]
+            ratios = np.divide(crossing, bound, out=np.full(len(new), math.inf),
+                               where=bound > 0)
+            worst = min(worst, float(ratios.min()))
+        fail = verdict == 2
+        if fail.any():
+            e_in, e_out, crossing = _decode(graph, keys[fail])
+            violations.extend(map(Violation, masks[fail].tolist(), e_in.tolist(),
+                                  e_out.tolist(), crossing.tolist(),
+                                  value[np.minimum(e_in, e_out)].tolist()))
         if csv is not None:
-            # (e_in, crossing) fixes the rest of the row after the mask, so
-            # each distinct pair is formatted once per chunk
-            _, first, which = np.unique(e_in * (graph.m + 1) + crossing,
-                                        return_index=True, return_inverse=True)
-            tails = [f",{i},{o},{x},{bound_text[e]},{'pass' if ok else 'fail'}\n"
-                     for i, o, x, e, ok in zip(
-                         e_in[first].tolist(), e_out[first].tolist(),
-                         crossing[first].tolist(), e_min[first].tolist(),
-                         passes[first].tolist())]
+            # the key fixes the rest of the row after the mask, so each
+            # distinct key is formatted once per chunk
+            seen, which = np.unique(keys, return_inverse=True)
+            tails = [f",{i},{o},{x},{bound_text[min(i, o)]},{'pass' if ok == 1 else 'fail'}\n"
+                     for i, o, x, ok in zip(*(a.tolist() for a in _decode(graph, seen)),
+                                            memo[seen].tolist())]
             csv.write("".join([f"{mask}{tails[k]}"
                                for mask, k in zip(masks.tolist(), which.tolist())]))
     return VerificationReport(

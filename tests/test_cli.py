@@ -15,9 +15,10 @@ from cutcert.cli import main
 from cutcert.cuts import (
     _CHUNK,
     _bound_tables,
+    _decode,
+    _exhaustive_keys,
     _exhaustive_masks,
-    _exhaustive_stats,
-    _mask_stats,
+    _mask_keys,
     _sampled_masks,
 )
 
@@ -196,8 +197,10 @@ class TestVerify:
         (["--trials", "7", "--seed", "3"], "--trials and --seed need --mode sample"),
         (["--mode", "exhaustive", "--trials", "1000"], "--trials and --seed need --mode sample"),
         (["--mode", "sample", "--trials", "0"], "trials must be >= 1, got 0"),
+        # rejected before the CSV header, not by the sampler once output began
+        (["--mode", "sample", "--trials", "3", "--seed", "-1"], "seed must be >= 0, got -1"),
     ])
-    @pytest.mark.parametrize("fmt", ["human", "csv"])
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
     def test_rejected_sampling_flags(self, capsys, flags, err, fmt):
         code, out, got = run(capsys, "verify", "--gen", "complete:5",
                              "--partition", "trivial", *flags, "--format", fmt)
@@ -270,7 +273,7 @@ class TestVerify:
         assert code in (0, 3)
         rows = np.array([line.split(",")[:4] for line in out.splitlines()[1:]], dtype=np.int64)
         masks = np.concatenate(list(_exhaustive_masks(18)))
-        expected = np.column_stack([masks, *_mask_stats(g, masks)])
+        expected = np.column_stack([masks, *_decode(g, _mask_keys(g, masks))])
         assert np.array_equal(rows, expected)
 
     def test_sampled_csv_rows_span_several_chunks(self, capsys):
@@ -283,7 +286,7 @@ class TestVerify:
         assert code in (0, 3)
         rows = np.array([line.split(",")[:4] for line in out.splitlines()[1:]], dtype=np.int64)
         masks = np.concatenate(list(_sampled_masks(20, trials, seed)))
-        expected = np.column_stack([masks, *_mask_stats(g, masks)])
+        expected = np.column_stack([masks, *_decode(g, _mask_keys(g, masks))])
         assert len(rows) == trials
         assert np.array_equal(rows, expected)
 
@@ -320,13 +323,13 @@ class TestVerify:
             chunks = list(_sampled_masks(graph.n, *sample))
             mode = ["--mode", "sample", "--trials", str(sample[0]), "--seed", str(sample[1])]
         else:  # the verify path chunks an exhaustive run by its high bits
-            assert len(list(_exhaustive_stats(graph))) > 1
+            assert len(list(_exhaustive_keys(graph))) > 1
             chunks = list(_exhaustive_masks(graph.n))
             mode = []
         masks = np.concatenate(chunks)
         lines = ["cut_bitmask,e_in,e_out,crossing,bound,pass"]
-        for mask, e_in, e_out, crossing in zip(masks.tolist(),
-                                               *(a.tolist() for a in _mask_stats(graph, masks))):
+        stats = _decode(graph, _mask_keys(graph, masks))
+        for mask, e_in, e_out, crossing in zip(masks.tolist(), *(a.tolist() for a in stats)):
             e = min(e_in, e_out)
             bound = float(value[e])
             verdict = "pass" if crossing >= need[e] else "fail"
@@ -385,7 +388,7 @@ class TestReport:
                            "--mode", "sparsity", "--format", "json")
         assert code == 0
         masks = np.concatenate(list(_exhaustive_masks(g.n)))
-        e_in, e_out, crossing = _mask_stats(g, masks)
+        e_in, e_out, crossing = _decode(g, _mask_keys(g, masks))
         e_min = np.minimum(e_in, e_out)
         ok = e_min > 0
         ratios = crossing[ok] / e_min[ok]

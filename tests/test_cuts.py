@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 from test_acceptance import _random_design_instance
+from test_cli import TRIANGLE_CHAIN
 
 from cutcert import bounds, graphs, partitions
 from cutcert.cuts import (
+    _CHUNK,
     _LOW_BITS,
     CutCapError,
+    _decode,
+    _exhaustive_keys,
     _exhaustive_masks,
-    _exhaustive_stats,
-    _mask_stats,
+    _mask_keys,
     _sampled_masks,
     enumerate_cuts,
     fiedler_value,
@@ -61,7 +64,7 @@ class TestEnumerateCuts:
 
 
 def _assert_kernel_matches_cut_stats(g, masks):
-    e_in, e_out, crossing = _mask_stats(g, masks)
+    e_in, e_out, crossing = _decode(g, _mask_keys(g, masks))
     assert e_in.shape == e_out.shape == crossing.shape == masks.shape
     for i, mask in enumerate(masks.tolist()):
         stats = graphs.cut_stats(g, (v for v in range(g.n) if mask >> v & 1))
@@ -99,20 +102,32 @@ class TestMaskStats:
         for g in [graphs.complete(62), graphs.from_edge_list(62, [(0, 61), (60, 61)])]:
             _assert_kernel_matches_cut_stats(g, masks)
 
+    @pytest.mark.parametrize("n, dtype", [(31, np.int32), (32, np.int64)])
+    def test_top_bit_either_side_of_the_int32_kernel(self, n, dtype):
+        # below 32 vertices the kernel runs in int32, whose top usable bit is 30
+        top = 1 << (n - 1)
+        extremes = np.array([1 | top, (1 << n) - 1 - top, (1 << n) - 1], dtype=np.int64)
+        masks = np.concatenate([extremes, *_sampled_masks(n, 200, seed=5)])
+        assert (masks[3:] & top).any()
+        sparse = graphs.from_edge_list(n, [(0, n - 1), (n - 2, n - 1), (3, 17)])
+        for g in [graphs.complete(n), sparse]:
+            assert _mask_keys(g, masks).dtype == dtype
+            _assert_kernel_matches_cut_stats(g, masks)
+
 
 def _assert_chunks_match_mask_stats(g):
-    chunks = list(_exhaustive_stats(g))
+    chunks = list(_exhaustive_keys(g))
     masks = np.concatenate([chunk[0] for chunk in chunks])
     assert np.array_equal(masks, np.concatenate(list(_exhaustive_masks(g.n))))
-    for masks, *stats in chunks:
-        for got, want in zip(stats, _mask_stats(g, masks)):
+    for masks, keys in chunks:
+        for got, want in zip(_decode(g, keys), _decode(g, _mask_keys(g, masks))):
             assert np.array_equal(got, want)
 
 
 class TestExhaustiveStats:
     def test_masks_ascend_over_every_canonical_cut(self):
         for n in range(2, _LOW_BITS + 4):
-            masks = np.concatenate([chunk[0] for chunk in _exhaustive_stats(graphs.empty(n))])
+            masks = np.concatenate([chunk[0] for chunk in _exhaustive_keys(graphs.empty(n))])
             assert len(masks) == 2 ** (n - 1) - 1
             assert np.all(np.diff(masks) > 0) and np.all(masks & 1)
             assert masks[-1] < (1 << n) - 1
@@ -135,21 +150,21 @@ class TestExhaustiveStats:
         sparse = graphs.from_edge_list(n, [(0, 25), (3, 17), (15, 16), (20, 24), (7, 8)])
         last, half = (1 << (n - _LOW_BITS)) - 1, 1 << (_LOW_BITS - 1)
         for g in (graphs.complete(n), sparse):
-            for h, (masks, *stats) in enumerate(_exhaustive_stats(g)):
+            for h, (masks, keys) in enumerate(_exhaustive_keys(g)):
                 if h in (0, last // 2, last):
                     t = np.arange(h * half, (h + 1) * half - (h == last), dtype=np.int64)
                     assert np.array_equal(masks, 1 | t << 1)
-                    for got, want in zip(stats, _mask_stats(g, masks)):
+                    for got, want in zip(_decode(g, keys), _decode(g, _mask_keys(g, masks))):
                         assert np.array_equal(got, want)
             assert h == last
 
     def test_orders_zero_and_one_yield_nothing(self):
-        assert list(_exhaustive_stats(graphs.empty(0))) == []
-        assert list(_exhaustive_stats(graphs.empty(1))) == []
+        assert list(_exhaustive_keys(graphs.empty(0))) == []
+        assert list(_exhaustive_keys(graphs.empty(1))) == []
 
     def test_cap(self):
         with pytest.raises(CutCapError, match="sampling"):
-            next(_exhaustive_stats(graphs.empty(27)))
+            next(_exhaustive_keys(graphs.empty(27)))
 
 
 class TestVerifyBound:
@@ -288,6 +303,67 @@ def test_verdicts_match_integer_forms():
             assert report.worst_ratio == worst, f"corpus {i}, {kind} {variant}"
             checked += len(rows)
     assert checked > 100_000
+
+
+CHAIN = graphs.from_edge_list(18, TRIANGLE_CHAIN)
+
+
+def _endpoint_stats(g, masks):
+    """(e_in, e_out, crossing) of each cut, counted from the edge endpoints."""
+    bits = ((masks[:, None] >> np.arange(g.n)) & 1).astype(np.int8)
+    u, v = np.array(sorted(g.edges)).T
+    ends = bits[:, u] + bits[:, v]
+    return (ends == 2).sum(axis=1), (ends == 0).sum(axis=1), (ends == 1).sum(axis=1)
+
+
+@pytest.mark.parametrize("kind, sample", [("base", None), ("refined", None),
+                                          ("base", (70_000, 4))])
+def test_verdicts_memoised_across_chunks(kind, sample):
+    # a verdict is stored per key in the chunk that first sees it; the chain
+    # spans four exhaustive chunks, or two of 70,000 samples
+    p = partitions.all_pairs_partition(CHAIN.n)
+    c = partitions.partition_certificate(CHAIN, p).c
+    k = c.denominator
+    if sample is None:
+        masks = np.concatenate(list(_exhaustive_masks(CHAIN.n)))
+        chunk = masks >> _LOW_BITS
+        report = verify_bound(CHAIN, p, kind=kind)
+    else:
+        masks = np.concatenate(list(_sampled_masks(CHAIN.n, *sample)))
+        chunk = np.arange(len(masks)) // _CHUNK
+        report = verify_bound(CHAIN, p, kind=kind, trials=sample[0], seed=sample[1])
+    assert chunk[-1] >= 1
+    e_in, e_out, crossing = _endpoint_stats(CHAIN, masks)
+    e_min = np.minimum(e_in, e_out)
+    passes = _integer_verdicts(kind, bounds.AS_STATED, k, CHAIN.n, e_min, crossing)
+    distinct, which = np.unique(e_min, return_inverse=True)
+    bound = np.array([float(bounds.lambda_value(c) * e if kind == "base"
+                            else bounds.refined_bound(c, e, CHAIN.n, bounds.AS_STATED))
+                      for e in distinct.tolist()])[which]
+    fail = ~passes
+    expected = list(zip(masks[fail].tolist(), e_in[fail].tolist(), e_out[fail].tolist(),
+                        crossing[fail].tolist(), bound[fail].tolist()))
+    got = [(v.bitmask, v.e_in, v.e_out, v.crossing, v.bound) for v in report.violations]
+    assert got == expected
+    positive = bound > 0
+    assert report.worst_ratio == (crossing[positive] / bound[positive]).min()
+    assert report.cuts_examined == len(masks)
+    if kind == "base":
+        # some failing (e_in, crossing) is met again in a later chunk
+        pairs = {}
+        for pair, h in zip(zip(e_in[fail].tolist(), crossing[fail].tolist()), chunk[fail]):
+            pairs.setdefault(pair, set()).add(int(h))
+        assert any(len(hs) > 1 for hs in pairs.values())
+
+
+def test_sparsity_argmin_matches_endpoint_counts():
+    masks = np.concatenate(list(_exhaustive_masks(CHAIN.n)))
+    e_in, e_out, crossing = _endpoint_stats(CHAIN, masks)
+    e_min = np.minimum(e_in, e_out)
+    ratios = np.where(e_min > 0, crossing / np.maximum(e_min, 1), np.inf)
+    first = int(np.argmin(ratios))
+    profile = sparsity_profile(CHAIN)
+    assert (profile.ratio, profile.bitmask) == (ratios[first], masks[first])
 
 
 class TestSampleCutsVerify:

@@ -8,17 +8,19 @@ fixed seed gives reproducible spot checks.
 Cuts are int64 bitmasks, handled a chunk at a time. With m edges, e(S^c) =
 m - e(S) - e(S, S^c), so everything the bound asks of a cut follows from
 its key e(S)·(m + 1) + e(S, S^c), one integer below (m + 1)^2; the kernels
-produce keys and nothing else. The exhaustive path splits each cut S into a
-high half H (vertices b..n-1) and a low half L (vertices 0..b-1,
-b = min(n, 16)), meet-in-the-middle style: the L terms of the key come from
-a table built once, and one chunk per H adds the H terms and the edges
-between H and L, O(1) amortized work per cut. Sampled cuts take one
-popcount of the masks ANDed with each vertex's adjacency bitmask: O(n)
-vector operations per chunk, whatever the edge count, in int32 below 32
-vertices. Verification keeps an int8 verdict per key (unseen, pass, fail):
-a chunk gathers its verdicts and decodes only the keys not seen before,
-which also give the worst ratio. Each chunk's CSV rows are written as soon
-as the chunk is checked, so memory does not grow with the number of cuts.
+produce keys and nothing else. Both split each cut S into a high half H
+(vertices b..n-1) and a low half L (vertices 0..b-1, b = min(n, 16)), and
+both read the L terms of the key from one table over every L, built once
+per call. The exhaustive path then adds, meet-in-the-middle style, one
+chunk per H with the H terms and the edges between H and L, O(1) amortized
+work per cut. Sampled cuts gather their L terms from the table and add
+each high vertex's with one popcount of the masks ANDed with its lower
+neighbours: O(n - b) vector operations per chunk, none at n <= 16, in int32
+below 32 vertices. Verification keeps an int8 verdict per key (unseen,
+pass, fail): a chunk gathers its verdicts and decodes only the keys not
+seen before, which also give the worst ratio. Each chunk's CSV rows are
+written as soon as the chunk is checked, so memory does not grow with the
+number of cuts.
 """
 from __future__ import annotations
 
@@ -75,9 +77,8 @@ def _sampled_masks(n: int, trials: int, seed: int):
     while done < trials:
         k = min(_CHUNK, trials - done)
         masks = rng.integers(1, full, size=k, dtype=np.int64, endpoint=False)
-        # canonical side contains vertex 0
-        flip = (masks & 1) == 0
-        masks[flip] ^= full
+        # canonical side contains vertex 0: even masks flip, as (0 - 1) & full
+        masks ^= ((masks & 1) - 1) & full
         yield masks
         done += k
 
@@ -88,38 +89,73 @@ def _decode(graph: Graph, keys):
     return e_in, graph.m - e_in - crossing, crossing
 
 
-def _mask_keys(graph: Graph, masks: np.ndarray) -> np.ndarray:
+def _low_keys(graph: Graph, b: int):
+    """int32 (masks, keys) of every subset L of the low b vertices.
+
+    As crossing = deg(S) - 2e(S), a cut's key is (m - 1)e(S) + deg(S); the
+    table holds (m - 1)e(L) + deg(L) for all 2^b subsets L, built in place
+    by doubling over vertices 1..b-1 and then vertex 0. Entry i is thus the
+    L with L >> 1 = i mod 2^(b-1) and vertex 0 in L iff i >= 2^(b-1): the
+    upper half is every odd L, ascending. With e(L) <= 120 and m <= 1891
+    every entry fits int32.
+    """
+    size = 1 << b
+    low = np.zeros(size, dtype=np.int32)
+    key = np.zeros(size, dtype=np.int32)
+    for j, v in enumerate([*range(1, b), 0]):
+        k = 1 << j
+        np.bitwise_count(np.bitwise_and(low[:k], graph.adjacency_masks[v] & size - 1,
+                                        out=low[k:2 * k]), out=key[k:2 * k])
+        key[k:2 * k] *= graph.m - 1
+        key[k:2 * k] += key[:k]
+        key[k:2 * k] += graph.degrees[v]
+        np.bitwise_or(low[:k], 1 << v, out=low[k:2 * k])
+    return low, key
+
+
+def _mask_keys(graph: Graph, masks: np.ndarray, key_low: np.ndarray) -> np.ndarray:
     """The key of each bitmask cut: int32 below 32 vertices, else int64.
 
-    Over the vertices v in S, popcount(adj_v & S) counts each edge inside S
-    twice, and deg_v counts it twice and each crossing edge once. Below 32
-    vertices the masks and keys fit int32, which halves the bytes each of
-    the O(n) vector operations moves.
+    key_low is _low_keys's table over the low b vertices, from which each
+    mask gathers the key of its low half. Each high vertex v >= b in S then
+    adds (m - 1)·popcount(S & N⁻(v)) + deg_v, N⁻(v) its neighbours below v:
+    its edges down into S and its degree. Below 32 vertices the masks and
+    keys fit int32, which halves the bytes each vector operation moves.
     """
     dtype = np.int32 if graph.n < 32 else np.int64
+    b = len(key_low).bit_length() - 1
     masks = masks.astype(dtype, copy=False)
-    twice_in = np.zeros(masks.shape, dtype=dtype)
-    degree_sum = np.zeros(masks.shape, dtype=dtype)
-    inside = np.empty_like(twice_in)
-    term = np.empty_like(twice_in)
-    for v, (nbrs, deg) in enumerate(zip(graph.adjacency_masks, graph.degrees)):
+    # the table's entry for L = masks & (2^b - 1), vertex 0 its top index bit
+    index = (masks & (1 << b) - 1) >> 1
+    index |= (masks & 1) << b - 1
+    keys = key_low.take(index).astype(dtype, copy=False)
+    inside = np.empty_like(keys)
+    term = np.empty_like(keys)
+    for v in range(b, graph.n):
         np.bitwise_and(np.right_shift(masks, v, out=inside), 1, out=inside)
-        np.bitwise_count(np.bitwise_and(masks, nbrs, out=term), out=term)
-        twice_in += np.multiply(inside, term, out=term)
-        degree_sum += np.multiply(inside, deg, out=term)
-    # e_in * (m + 1) + crossing, with crossing = degree_sum - twice_in
-    return (twice_in >> 1) * (graph.m + 1) + degree_sum - twice_in
+        np.bitwise_count(np.bitwise_and(masks, graph.adjacency_masks[v] & (1 << v) - 1,
+                                        out=term), out=term)
+        term *= graph.m - 1
+        term += graph.degrees[v]
+        keys += np.multiply(inside, term, out=term)
+    return keys
+
+
+def _sampled_keys(graph: Graph, trials: int, seed: int):
+    """Yield (masks, keys) for trials seeded cuts, the table built first."""
+    key_low = _low_keys(graph, min(graph.n, _LOW_BITS))[1]
+    for masks in _sampled_masks(graph.n, trials, seed):
+        yield masks, _mask_keys(graph, masks, key_low)
 
 
 def _exhaustive_keys(graph: Graph):
     """Yield (masks, int32 keys) for every canonical cut, masks ascending.
 
     Meet in the middle (Horowitz and Sahni, 1974): S = H | L with L over the
-    low b bits and H over the rest. As crossing = deg(S) - 2e(S), the key is
-    (m - 1)e(S) + deg(S), and e(S) = e(L) + e(H) + e(H, L). The L terms
-    (m - 1)e(L) + deg(L) are a table over the odd L (vertex 0 is always in
-    S), built once by doubling. Each H is one chunk, masks H << b | L, whose
-    table adds the H terms (m - 1)(e(H) + e(H, L)) + deg(H); e(H, L) sums
+    low b bits and H over the rest, and e(S) = e(L) + e(H) + e(H, L). The L
+    terms are the upper half of _low_keys's table, the odd L (vertex 0 is
+    always in S). Each H is one chunk, masks H << b | L, whose table adds
+    the H terms (m - 1)(e(H) + e(H, L)) + deg(H); e(H, L) sums
     w_v = |N(v) & H| over v in L, doubled the same way. The all-ones mask is
     dropped.
     """
@@ -127,13 +163,11 @@ def _exhaustive_keys(graph: Graph):
         return
     b = min(graph.n, _LOW_BITS)
     adj, deg = graph.adjacency_masks, graph.degrees
-    w = np.int32(graph.m - 1)  # typed, as popcounts are uint8
-    low = np.ones(1, dtype=np.int64)
-    key_low = np.array([deg[0]], dtype=np.int32)
-    for v in range(1, b):
-        key_low = np.concatenate([key_low, key_low + w * np.bitwise_count(low & adj[v])
-                                  + deg[v]])
-        low = np.concatenate([low, low | 1 << v])
+    w = graph.m - 1
+    half = 1 << (b - 1)
+    low, key_low = _low_keys(graph, b)
+    # int64 masks: int32 ones raised the per-cut-audit benchmark's peak RSS by 7%
+    low, key_low = low[half:].astype(np.int64), key_low[half:]
     across = np.empty_like(key_low)
     last = (1 << (graph.n - b)) - 1
     for h in range(last + 1):
@@ -311,8 +345,7 @@ def verify_bound(
             raise CutCapError("sampled bitmask cuts support n <= 62")
         if graph.n < 2:
             raise ValueError("sampling needs n >= 2")
-        key_chunks = ((masks, _mask_keys(graph, masks))
-                      for masks in _sampled_masks(graph.n, trials, seed))
+        key_chunks = _sampled_keys(graph, trials, seed)
     failing = replication_degree_check(graph, partition)
     cert = partition_certificate(graph, partition)
     reason = None

@@ -87,16 +87,24 @@ class Graph:
         return self._dense[1]
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
-        """Subgraph on the given vertices, reindexed to 0..k-1 in sorted order."""
+        """Subgraph on the given vertices, reindexed to 0..k-1 in sorted order;
+        each kept vertex walks its kept neighbours above it."""
         keep = sorted(set(vertices))
         for v in keep:
             if not 0 <= v < self.n:
                 raise GraphInputError(f"vertex {v} out of range for n={self.n}")
+        if len(keep) == self.n:
+            return self
         index = {v: i for i, v in enumerate(keep)}
-        sub = frozenset(
-            (index[u], index[v]) for u, v in self.edges if u in index and v in index
-        )
-        return Graph(len(keep), sub)
+        kept = sum(1 << v for v in keep)
+        sub = []
+        for i, v in enumerate(keep):
+            above = self.adjacency_masks[v] & kept & -(2 << v)
+            while above:
+                w = above.bit_length() - 1
+                sub.append((i, index[w]))
+                above ^= 1 << w
+        return Graph(len(keep), frozenset(sub))
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Graph with vertex v renamed perm[v]."""

@@ -14,10 +14,12 @@ from cutcert import graphs, partitions
 from cutcert.cli import main
 from cutcert.cuts import (
     _CHUNK,
+    _LOW_BITS,
     _bound_tables,
     _decode,
     _exhaustive_keys,
     _exhaustive_masks,
+    _low_keys,
     _mask_keys,
     _sampled_masks,
 )
@@ -28,6 +30,11 @@ TRIANGLE_CHAIN = [e for i in range(6) for e in
                   ((3 * i, 3 * i + 1), (3 * i, 3 * i + 2), (3 * i + 1, 3 * i + 2))]
 TRIANGLE_CHAIN += [(3 * i + 2, 3 * i + 3) for i in range(5)]
 NEAR_PENCIL_BLOCKS = "0 1 2 3\n0 4\n1 4\n2 4\n3 4\n"
+
+
+def kernel_stats(g, masks):
+    """(e_in, e_out, crossing) of each bitmask cut, from the sampled-cut kernel."""
+    return _decode(g, _mask_keys(g, masks, _low_keys(g, min(g.n, _LOW_BITS))[1]))
 
 
 def run(capsys, *argv):
@@ -273,7 +280,7 @@ class TestVerify:
         assert code in (0, 3)
         rows = np.array([line.split(",")[:4] for line in out.splitlines()[1:]], dtype=np.int64)
         masks = np.concatenate(list(_exhaustive_masks(18)))
-        expected = np.column_stack([masks, *_decode(g, _mask_keys(g, masks))])
+        expected = np.column_stack([masks, *kernel_stats(g, masks)])
         assert np.array_equal(rows, expected)
 
     def test_sampled_csv_rows_span_several_chunks(self, capsys):
@@ -286,7 +293,7 @@ class TestVerify:
         assert code in (0, 3)
         rows = np.array([line.split(",")[:4] for line in out.splitlines()[1:]], dtype=np.int64)
         masks = np.concatenate(list(_sampled_masks(20, trials, seed)))
-        expected = np.column_stack([masks, *_decode(g, _mask_keys(g, masks))])
+        expected = np.column_stack([masks, *kernel_stats(g, masks)])
         assert len(rows) == trials
         assert np.array_equal(rows, expected)
 
@@ -328,7 +335,7 @@ class TestVerify:
             mode = []
         masks = np.concatenate(chunks)
         lines = ["cut_bitmask,e_in,e_out,crossing,bound,pass"]
-        stats = _decode(graph, _mask_keys(graph, masks))
+        stats = kernel_stats(graph, masks)
         for mask, e_in, e_out, crossing in zip(masks.tolist(), *(a.tolist() for a in stats)):
             e = min(e_in, e_out)
             bound = float(value[e])
@@ -388,7 +395,7 @@ class TestReport:
                            "--mode", "sparsity", "--format", "json")
         assert code == 0
         masks = np.concatenate(list(_exhaustive_masks(g.n)))
-        e_in, e_out, crossing = _decode(g, _mask_keys(g, masks))
+        e_in, e_out, crossing = kernel_stats(g, masks)
         e_min = np.minimum(e_in, e_out)
         ok = e_min > 0
         ratios = crossing[ok] / e_min[ok]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from test_acceptance import _random_design_instance
-from test_cli import TRIANGLE_CHAIN
+from test_cli import TRIANGLE_CHAIN, kernel_stats
 
 from cutcert import bounds, graphs, partitions
 from cutcert.cuts import (
@@ -15,6 +15,7 @@ from cutcert.cuts import (
     _decode,
     _exhaustive_keys,
     _exhaustive_masks,
+    _low_keys,
     _mask_keys,
     _sampled_masks,
     enumerate_cuts,
@@ -64,7 +65,7 @@ class TestEnumerateCuts:
 
 
 def _assert_kernel_matches_cut_stats(g, masks):
-    e_in, e_out, crossing = _decode(g, _mask_keys(g, masks))
+    e_in, e_out, crossing = kernel_stats(g, masks)
     assert e_in.shape == e_out.shape == crossing.shape == masks.shape
     for i, mask in enumerate(masks.tolist()):
         stats = graphs.cut_stats(g, (v for v in range(g.n) if mask >> v & 1))
@@ -111,7 +112,23 @@ class TestMaskStats:
         assert (masks[3:] & top).any()
         sparse = graphs.from_edge_list(n, [(0, n - 1), (n - 2, n - 1), (3, 17)])
         for g in [graphs.complete(n), sparse]:
-            assert _mask_keys(g, masks).dtype == dtype
+            assert _mask_keys(g, masks, _low_keys(g, _LOW_BITS)[1]).dtype == dtype
+            _assert_kernel_matches_cut_stats(g, masks)
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 25])
+    def test_either_side_of_the_table_split(self, n):
+        # n = 16 is the low-half table alone, 17 adds one high vertex, 25 nine
+        b = min(n, _LOW_BITS)
+        rng = np.random.default_rng(n)
+        masks = rng.integers(0, 1 << n, size=400, dtype=np.int64)
+        for bit in {b - 1, b} - {n}:
+            masks[:100] |= 1 << bit
+            masks[100:200] &= ~(1 << bit)
+            masks[200:300] ^= 1 << bit
+        assert (masks & 1).any() and (~masks & 1).any()
+        pairs = [(0, n - 1), (b - 1, n - 1), (b - 1, b), (3, b - 1), (1, 2)]
+        sparse = graphs.from_edge_list(n, [(u, v) for u, v in pairs if u != v < n])
+        for g in [graphs.complete(n), graphs.random_gnp(n, 0.4, n), sparse]:
             _assert_kernel_matches_cut_stats(g, masks)
 
 
@@ -120,7 +137,7 @@ def _assert_chunks_match_mask_stats(g):
     masks = np.concatenate([chunk[0] for chunk in chunks])
     assert np.array_equal(masks, np.concatenate(list(_exhaustive_masks(g.n))))
     for masks, keys in chunks:
-        for got, want in zip(_decode(g, keys), _decode(g, _mask_keys(g, masks))):
+        for got, want in zip(_decode(g, keys), kernel_stats(g, masks)):
             assert np.array_equal(got, want)
 
 
@@ -154,9 +171,18 @@ class TestExhaustiveStats:
                 if h in (0, last // 2, last):
                     t = np.arange(h * half, (h + 1) * half - (h == last), dtype=np.int64)
                     assert np.array_equal(masks, 1 | t << 1)
-                    for got, want in zip(_decode(g, keys), _decode(g, _mask_keys(g, masks))):
+                    for got, want in zip(_decode(g, keys), kernel_stats(g, masks)):
                         assert np.array_equal(got, want)
             assert h == last
+
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_keys_match_endpoint_counts(self, n):
+        # checked against counts from each edge's two ends, not either kernel
+        sparse = graphs.from_edge_list(n, [(0, n - 1), (15, 16), (2, 16), (5, 9)])
+        for g in [graphs.random_gnp(n, 0.5, n), sparse]:
+            for masks, keys in _exhaustive_keys(g):
+                for got, want in zip(_decode(g, keys), _endpoint_stats(g, masks)):
+                    assert np.array_equal(got, want)
 
     def test_orders_zero_and_one_yield_nothing(self):
         assert list(_exhaustive_keys(graphs.empty(0))) == []
@@ -364,6 +390,23 @@ def test_sparsity_argmin_matches_endpoint_counts():
     first = int(np.argmin(ratios))
     profile = sparsity_profile(CHAIN)
     assert (profile.ratio, profile.bitmask) == (ratios[first], masks[first])
+
+
+@pytest.mark.parametrize("n", [2, 25, 62])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_sample_stream_is_pinned(n, seed):
+    # 70,000 samples span two chunks; even draws flip to their complement
+    rng = np.random.default_rng(seed)
+    full = (1 << n) - 1
+    want = []
+    for k in (_CHUNK, 70_000 - _CHUNK):
+        masks = rng.integers(1, full, size=k, dtype=np.int64)
+        flip = (masks & 1) == 0
+        masks[flip] ^= full
+        want.append(masks)
+    got = list(_sampled_masks(n, 70_000, seed))
+    assert [len(m) for m in got] == [len(m) for m in want]
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
 
 
 class TestSampleCutsVerify:

@@ -141,6 +141,26 @@ class TestMatrices:
                 if i < j:
                     assert ((i, j) in sub.edges) == ((u, v) in g.edges)
 
+    def test_induced_matches_edge_scan(self):
+        # the definition: keep the edges with both ends kept, reindexed
+        rng = np.random.default_rng(11)
+        for n, prob, seed in [(1, 0.5, 0), (7, 0.3, 1), (12, 0.5, 2), (20, 0.9, 3),
+                              (33, 0.2, 4), (62, 0.5, 5)]:
+            g = graphs.random_gnp(n, prob, seed)
+            for size in (0, 1, n // 2, n, 2 * n):
+                vertices = rng.integers(0, n, size=size).tolist()
+                index = {v: i for i, v in enumerate(sorted(set(vertices)))}
+                want = frozenset((index[u], index[v]) for u, v in g.edges
+                                 if u in index and v in index)
+                sub = g.induced_subgraph(vertices)
+                assert sub == graphs.Graph(len(index), want), (n, vertices)
+
+    def test_induced_out_of_range(self):
+        g = graphs.complete(5)
+        for bad in ([0, 5], [-1, 2], [7]):
+            with pytest.raises(GraphInputError, match="out of range"):
+                g.induced_subgraph(bad)
+
 
 class TestGenerators:
     def test_star(self):

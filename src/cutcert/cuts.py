@@ -10,17 +10,17 @@ m - e(S) - e(S, S^c), so everything the bound asks of a cut follows from
 its key e(S)·(m + 1) + e(S, S^c), one integer below (m + 1)^2; the kernels
 produce keys and nothing else. Both split each cut S into a high half H
 (vertices b..n-1) and a low half L (vertices 0..b-1, b = min(n, 16)), and
-both read the L terms of the key from one table over every L, built once
-per call. The exhaustive path then adds, meet-in-the-middle style, one
-chunk per H with the H terms and the edges between H and L, O(1) amortized
-work per cut. Sampled cuts gather their L terms from the table and add
-each high vertex's with one popcount of the masks ANDed with its lower
-neighbours: O(n - b) vector operations per chunk, none at n <= 16, in int32
-below 32 vertices. Verification keeps an int8 verdict per key (unseen,
-pass, fail): a chunk gathers its verdicts and decodes only the keys not
-seen before, which also give the worst ratio. Each chunk's CSV rows are
-written as soon as the chunk is checked, so memory does not grow with the
-number of cuts.
+both read the L terms of the key from one table indexed by L itself, built
+once per call. The exhaustive path then adds, meet-in-the-middle style,
+one chunk per H with the H terms and the edges between H and L, O(1)
+amortized work per cut. Sampled cuts gather their L terms from the table
+and add each high vertex's with one popcount of the masks ANDed with its
+lower neighbours: O(n - b) vector operations per chunk, none at n <= 16,
+in int32 below 32 vertices. Verification keeps an int8 verdict per key
+(unseen, pass, fail): a chunk gathers its verdicts and decodes every cut
+whose key no earlier chunk saw, repeats within the chunk included; these
+give the worst ratio. Each chunk's CSV rows are written as soon as it is
+checked, so memory does not grow with the number of cuts.
 """
 from __future__ import annotations
 
@@ -89,46 +89,39 @@ def _decode(graph: Graph, keys):
     return e_in, graph.m - e_in - crossing, crossing
 
 
-def _low_keys(graph: Graph, b: int):
-    """int32 (masks, keys) of every subset L of the low b vertices.
+def _low_keys(graph: Graph, b: int) -> np.ndarray:
+    """int32 table of (m - 1)e(L) + deg(L) at index L, for every subset L of
+    the low b vertices: a cut's key, as crossing = deg(S) - 2e(S).
 
-    As crossing = deg(S) - 2e(S), a cut's key is (m - 1)e(S) + deg(S); the
-    table holds (m - 1)e(L) + deg(L) for all 2^b subsets L, built in place
-    by doubling over vertices 1..b-1 and then vertex 0. Entry i is thus the
-    L with L >> 1 = i mod 2^(b-1) and vertex 0 in L iff i >= 2^(b-1): the
-    upper half is every odd L, ascending. With e(L) <= 120 and m <= 1891
-    every entry fits int32.
+    Doubling over v = 0..b-1, entries 2^v..2^(v+1)-1 add v to the entries
+    below them. With e(L) <= 120 and m <= 1891 every entry fits int32.
     """
     size = 1 << b
-    low = np.zeros(size, dtype=np.int32)
+    subsets = np.arange(size, dtype=np.int32)
     key = np.zeros(size, dtype=np.int32)
-    for j, v in enumerate([*range(1, b), 0]):
-        k = 1 << j
-        np.bitwise_count(np.bitwise_and(low[:k], graph.adjacency_masks[v] & size - 1,
-                                        out=low[k:2 * k]), out=key[k:2 * k])
+    for v in range(b):
+        k = 1 << v
+        # narrowed first: K_62's neighbour bits above 31 overflow int32
+        np.bitwise_count(subsets[:k] & (graph.adjacency_masks[v] & k - 1), out=key[k:2 * k])
         key[k:2 * k] *= graph.m - 1
         key[k:2 * k] += key[:k]
         key[k:2 * k] += graph.degrees[v]
-        np.bitwise_or(low[:k], 1 << v, out=low[k:2 * k])
-    return low, key
+    return key
 
 
 def _mask_keys(graph: Graph, masks: np.ndarray, key_low: np.ndarray) -> np.ndarray:
     """The key of each bitmask cut: int32 below 32 vertices, else int64.
 
-    key_low is _low_keys's table over the low b vertices, from which each
-    mask gathers the key of its low half. Each high vertex v >= b in S then
-    adds (m - 1)·popcount(S & N⁻(v)) + deg_v, N⁻(v) its neighbours below v:
-    its edges down into S and its degree. Below 32 vertices the masks and
+    Each mask gathers its low half's key from _low_keys's table key_low at
+    index mask & (2^b - 1). Each high vertex v >= b in S then adds
+    (m - 1)·popcount(S & N⁻(v)) + deg_v, N⁻(v) its neighbours below v: its
+    edges down into S and its degree. Below 32 vertices the masks and
     keys fit int32, which halves the bytes each vector operation moves.
     """
     dtype = np.int32 if graph.n < 32 else np.int64
     b = len(key_low).bit_length() - 1
     masks = masks.astype(dtype, copy=False)
-    # the table's entry for L = masks & (2^b - 1), vertex 0 its top index bit
-    index = (masks & (1 << b) - 1) >> 1
-    index |= (masks & 1) << b - 1
-    keys = key_low.take(index).astype(dtype, copy=False)
+    keys = key_low.take(masks & (1 << b) - 1).astype(dtype, copy=False)
     inside = np.empty_like(keys)
     term = np.empty_like(keys)
     for v in range(b, graph.n):
@@ -143,7 +136,7 @@ def _mask_keys(graph: Graph, masks: np.ndarray, key_low: np.ndarray) -> np.ndarr
 
 def _sampled_keys(graph: Graph, trials: int, seed: int):
     """Yield (masks, keys) for trials seeded cuts, the table built first."""
-    key_low = _low_keys(graph, min(graph.n, _LOW_BITS))[1]
+    key_low = _low_keys(graph, min(graph.n, _LOW_BITS))
     for masks in _sampled_masks(graph.n, trials, seed):
         yield masks, _mask_keys(graph, masks, key_low)
 
@@ -153,8 +146,8 @@ def _exhaustive_keys(graph: Graph):
 
     Meet in the middle (Horowitz and Sahni, 1974): S = H | L with L over the
     low b bits and H over the rest, and e(S) = e(L) + e(H) + e(H, L). The L
-    terms are the upper half of _low_keys's table, the odd L (vertex 0 is
-    always in S). Each H is one chunk, masks H << b | L, whose table adds
+    terms are _low_keys's odd entries (vertex 0 is always in S), so entry i
+    is L = 2i + 1. Each H is one chunk, masks H << b | L, whose table adds
     the H terms (m - 1)(e(H) + e(H, L)) + deg(H); e(H, L) sums
     w_v = |N(v) & H| over v in L, doubled the same way. The all-ones mask is
     dropped.
@@ -164,10 +157,10 @@ def _exhaustive_keys(graph: Graph):
     b = min(graph.n, _LOW_BITS)
     adj, deg = graph.adjacency_masks, graph.degrees
     w = graph.m - 1
-    half = 1 << (b - 1)
-    low, key_low = _low_keys(graph, b)
-    # int64 masks: int32 ones raised the per-cut-audit benchmark's peak RSS by 7%
-    low, key_low = low[half:].astype(np.int64), key_low[half:]
+    # the odd L, copied once so that no chunk reads a strided view; int64
+    # masks: int32 ones raised the per-cut-audit benchmark's peak RSS by 7%
+    key_low = _low_keys(graph, b)[1::2].copy()
+    low = np.arange(1, 1 << b, 2, dtype=np.int64)
     across = np.empty_like(key_low)
     last = (1 << (graph.n - b)) - 1
     for h in range(last + 1):
@@ -267,19 +260,28 @@ class VerificationReport:
     graph_n: int
     graph_edges: int
     partition_blocks: int
-    applicable: bool
     reason: str | None
     c: float | None
     bound_kind: str
     variant: str
-    degree_dominance_ok: bool
     degree_dominance_failures: tuple
-    mode: str
     seed: int | None
     trials: int | None
     cuts_examined: int
     worst_ratio: float
     violations: tuple
+
+    @property
+    def applicable(self) -> bool:
+        return self.reason is None
+
+    @property
+    def degree_dominance_ok(self) -> bool:
+        return not self.degree_dominance_failures
+
+    @property
+    def mode(self) -> str:
+        return MODE_EXHAUSTIVE if self.trials is None else MODE_SAMPLED
 
     def to_dict(self):
         return {
@@ -399,14 +401,11 @@ def verify_bound(
         graph_n=graph.n,
         graph_edges=graph.m,
         partition_blocks=len(partition.blocks),
-        applicable=reason is None,
         reason=reason,
         c=None if reason else float(cert.c),
         bound_kind=kind,
         variant=variant,
-        degree_dominance_ok=not failing,
         degree_dominance_failures=failing,
-        mode=MODE_EXHAUSTIVE if trials is None else MODE_SAMPLED,
         seed=None if trials is None else seed,
         trials=trials,
         cuts_examined=examined,

@@ -34,7 +34,7 @@ NEAR_PENCIL_BLOCKS = "0 1 2 3\n0 4\n1 4\n2 4\n3 4\n"
 
 def kernel_stats(g, masks):
     """(e_in, e_out, crossing) of each bitmask cut, from the sampled-cut kernel."""
-    return _decode(g, _mask_keys(g, masks, _low_keys(g, min(g.n, _LOW_BITS))[1]))
+    return _decode(g, _mask_keys(g, masks, _low_keys(g, min(g.n, _LOW_BITS))))
 
 
 def run(capsys, *argv):

@@ -112,7 +112,7 @@ class TestMaskStats:
         assert (masks[3:] & top).any()
         sparse = graphs.from_edge_list(n, [(0, n - 1), (n - 2, n - 1), (3, 17)])
         for g in [graphs.complete(n), sparse]:
-            assert _mask_keys(g, masks, _low_keys(g, _LOW_BITS)[1]).dtype == dtype
+            assert _mask_keys(g, masks, _low_keys(g, _LOW_BITS)).dtype == dtype
             _assert_kernel_matches_cut_stats(g, masks)
 
     @pytest.mark.parametrize("n", [15, 16, 17, 25])
@@ -130,6 +130,29 @@ class TestMaskStats:
         sparse = graphs.from_edge_list(n, [(u, v) for u, v in pairs if u != v < n])
         for g in [graphs.complete(n), graphs.random_gnp(n, 0.4, n), sparse]:
             _assert_kernel_matches_cut_stats(g, masks)
+
+
+_LOW_TABLE_GRAPHS = {
+    "gnp12": graphs.random_gnp(12, 0.5, 12),
+    "edgeless16": graphs.empty(16),
+    # every low vertex has neighbours in 32..39, above an int32's bits
+    "high40": graphs.from_edge_list(
+        40, [(v, 32 + v % 8) for v in range(16)] + [(v, 39 - v) for v in range(16)]
+        + sorted(graphs.random_gnp(16, 0.3, 40).edges)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOW_TABLE_GRAPHS))
+def test_low_keys_entry_is_its_own_subset(name):
+    g = _LOW_TABLE_GRAPHS[name]
+    for b in sorted({b for b in (1, 2, min(g.n, _LOW_BITS), _LOW_BITS) if b <= g.n}):
+        table = _low_keys(g, b)
+        assert table.dtype == np.int32 and table.shape == (1 << b,)
+        for low in range(1 << b):
+            members = [v for v in range(b) if low >> v & 1]
+            want = (g.m - 1) * graphs.cut_stats(g, members).e_in
+            want += sum(g.degrees[v] for v in members)
+            assert table[low] == want, f"b={b} L={low:#x}"
 
 
 def _assert_chunks_match_mask_stats(g):

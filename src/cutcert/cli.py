@@ -175,7 +175,7 @@ def cmd_verify(args) -> int:
         _emit(report.to_dict(), args.format)
     if not report.applicable:
         return EXIT_INAPPLICABLE
-    return EXIT_OK if not report.violations else EXIT_NEGATIVE
+    return EXIT_OK if not len(report.failing[0]) else EXIT_NEGATIVE
 
 
 def cmd_report(args) -> int:

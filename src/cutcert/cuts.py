@@ -19,7 +19,8 @@ lower neighbours: O(n - b) vector operations per chunk, none at n <= 16,
 in int32 below 32 vertices. Verification keeps an int8 verdict per key
 (unseen, pass, fail): a chunk gathers its verdicts and decodes every cut
 whose key no earlier chunk saw, repeats within the chunk included; these
-give the worst ratio. Each chunk's CSV rows are written as soon as it is
+give the worst ratio. Failing cuts keep their masks and keys, decoded once
+after the last chunk. Each chunk's CSV rows are written as soon as it is
 checked, so memory does not grow with the number of cuts.
 """
 from __future__ import annotations
@@ -244,18 +245,8 @@ class Violation:
     def members(self) -> tuple:
         return _mask_members(self.bitmask)
 
-    def to_dict(self):
-        return {
-            "cut": list(self.members),
-            "bitmask": self.bitmask,
-            "e_in": self.e_in,
-            "e_out": self.e_out,
-            "crossing": self.crossing,
-            "bound": self.bound,
-        }
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # failing holds arrays: compare to_dict()s
 class VerificationReport:
     graph_n: int
     graph_edges: int
@@ -269,7 +260,11 @@ class VerificationReport:
     trials: int | None
     cuts_examined: int
     worst_ratio: float
-    violations: tuple
+    failing: tuple  # Violation's fields as five arrays, in mask order
+
+    @property
+    def violations(self) -> tuple:
+        return tuple(map(Violation, *(a.tolist() for a in self.failing)))
 
     @property
     def applicable(self) -> bool:
@@ -299,7 +294,10 @@ class VerificationReport:
             "trials": self.trials,
             "cuts_examined": self.cuts_examined,
             "worst_ratio": self.worst_ratio if math.isfinite(self.worst_ratio) else None,
-            "violations": [v.to_dict() for v in self.violations],
+            "violations": [{"cut": list(_mask_members(mask)), "bitmask": mask, "e_in": e_in,
+                            "e_out": e_out, "crossing": crossing, "bound": bound}
+                           for mask, e_in, e_out, crossing, bound
+                           in zip(*(a.tolist() for a in self.failing))],
         }
 
 
@@ -358,12 +356,12 @@ def verify_bound(
 
     worst = math.inf
     examined = 0
-    violations = []
+    fail_masks, fail_keys = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     if reason is None:
         need, value = _bound_tables(kind, variant, cert.c, graph)
         bound_text = [repr(b) for b in value.tolist()]
     else:
-        key_chunks = ()
+        key_chunks, value = (), np.zeros(0)
     # the verdict of each key once it is seen: 0 unseen, 1 pass, 2 fail
     memo = np.zeros((graph.m + 1) ** 2, dtype=np.int8)
     if csv is not None:
@@ -383,11 +381,8 @@ def verify_bound(
                                where=bound > 0)
             worst = min(worst, float(ratios.min()))
         fail = verdict == 2
-        if fail.any():
-            e_in, e_out, crossing = _decode(graph, keys[fail])
-            violations.extend(map(Violation, masks[fail].tolist(), e_in.tolist(),
-                                  e_out.tolist(), crossing.tolist(),
-                                  value[np.minimum(e_in, e_out)].tolist()))
+        fail_masks.append(masks[fail])
+        fail_keys.append(keys[fail])
         if csv is not None:
             # the key fixes the rest of the row after the mask, so each
             # distinct key is formatted once per chunk
@@ -397,6 +392,8 @@ def verify_bound(
                                             memo[seen].tolist())]
             csv.write("".join([f"{mask}{tails[k]}"
                                for mask, k in zip(masks.tolist(), which.tolist())]))
+    e_in, e_out, crossing = _decode(graph, np.concatenate(fail_keys))
+    bound = value[np.minimum(e_in, e_out)]
     return VerificationReport(
         graph_n=graph.n,
         graph_edges=graph.m,
@@ -410,5 +407,5 @@ def verify_bound(
         trials=trials,
         cuts_examined=examined,
         worst_ratio=worst,
-        violations=tuple(violations),
+        failing=(np.concatenate(fail_masks), e_in, e_out, crossing, bound),
     )

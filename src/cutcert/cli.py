@@ -166,10 +166,13 @@ def _resolve_sampling(args) -> tuple[int | None, int]:
 
 def cmd_verify(args) -> int:
     trials, seed = _resolve_sampling(args)
+    if args.variant is not None and args.bound != cuts.KIND_REFINED:
+        raise CliInputError("--variant needs --bound refined")
     graph = _resolve_graph(args)
     partition = _resolve_partition(args.partition, graph.n)
     csv_out = sys.stdout if args.format == "csv" else None
-    report = cuts.verify_bound(graph, partition, kind=args.bound, variant=args.variant,
+    report = cuts.verify_bound(graph, partition, kind=args.bound,
+                               variant=args.variant or bounds.AS_STATED,
                                trials=trials, seed=seed, csv=csv_out)
     if csv_out is None:
         _emit(report.to_dict(), args.format)
@@ -240,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", choices=(cuts.KIND_BASE, cuts.KIND_REFINED),
                    default=cuts.KIND_BASE)
     p.add_argument("--variant", choices=(bounds.AS_STATED, bounds.TIGHT),
-                   default=bounds.AS_STATED)
+                   help="refined bound variant (default as-stated); needs --bound refined")
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
     p.add_argument("--trials", type=int, help="sampled cuts (default 1000); needs --mode sample")
     p.add_argument("--seed", type=int, help="sampling seed (default 0); needs --mode sample")
@@ -261,8 +264,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (graphs.GraphInputError, partitions.PartitionError, CliInputError,
-            cuts.CutCapError, bounds.BoundDomainError, ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

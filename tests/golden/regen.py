@@ -115,7 +115,8 @@ def calls() -> list[list[str]]:
                  "bipartite:2", "complete-bipartite:2,3,1", "multipartite:", "gnp:6,0.5",
                  "gnp:6,0.5,1,9", "gnp:4,,0.5,1", "star:5,", "complete:,5", "gnp:x,0.5,1",
                  "complete:1.5", "gnp:6,half,1", "moebius:3", "path:-1", "star:0",
-                 "bipartite:0,2", "multipartite:2,0", "gnp:5,2,1"):
+                 "bipartite:0,2", "multipartite:2,0", "gnp:5,2,1",
+                 "complete:99999999999999999999999", "empty:99999999999999999999999"):
         out.append(["certify", "--gen", spec])
     for name in ("bad_line.txt", "self_loop.txt", "out_of_range.txt", "short.txt",
                  "no_header.txt", "missing.txt"):
@@ -133,6 +134,8 @@ def calls() -> list[list[str]]:
             ["verify", "--gen", "gnp:27,0.5,1", "--partition", "trivial", "--format", "csv"],
             ["verify", "--gen", "complete:63", "--partition", "trivial", "--mode", "sample"],
             ["verify", "--gen", "empty:0", "--partition", "trivial"],
+            ["verify", "--gen", "complete:5", "--partition", "trivial", "--variant", "as-stated",
+             "--format", "csv"],
             ["report", "--gen", "complete:27", "--mode", "sparsity"],
             ["validate", "--partition", _file("near_pencil.blocks"), "--n", "-1"],
             ["validate", "--partition", _file("malformed.blocks"), "--n", "4"]]

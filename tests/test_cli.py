@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutcert import graphs, partitions
+from cutcert import cuts, graphs, partitions
 from cutcert.cli import main
 from cutcert.cuts import (
     _CHUNK,
@@ -206,6 +206,9 @@ class TestVerify:
         (["--mode", "sample", "--trials", "0"], "trials must be >= 1, got 0"),
         # rejected before the CSV header, not by the sampler once output began
         (["--mode", "sample", "--trials", "3", "--seed", "-1"], "seed must be >= 0, got -1"),
+        # --variant shapes only the refined bound
+        (["--variant", "tight"], "--variant needs --bound refined"),
+        (["--bound", "base", "--variant", "as-stated"], "--variant needs --bound refined"),
     ])
     @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
     def test_rejected_sampling_flags(self, capsys, flags, err, fmt):
@@ -349,6 +352,25 @@ class TestVerify:
         assert len(got) == len(want) and not wrong, wrong[:3]
         assert code == (3 if ",fail\n" in out else 0)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cli_builds_no_violation(self, capsys, monkeypatch, fmt):
+        class Unbuildable:
+            def __init__(self, *fields):
+                raise AssertionError("a Violation was built")
+
+        monkeypatch.setattr(cuts, "Violation", Unbuildable)
+        code, out, _ = run(capsys, "verify", "--gen", "path:8", "--partition", "all-pairs",
+                           "--format", fmt)
+        assert code == 3
+        monkeypatch.undo()
+        rows = io.StringIO()
+        report = cuts.verify_bound(graphs.path(8), partitions.all_pairs_partition(8), csv=rows)
+        failed = [line.split(",") for line in rows.getvalue().splitlines() if line.endswith(",fail")]
+        assert len(failed) == 3
+        assert report.violations == tuple(
+            cuts.Violation(int(mask), int(e_in), int(e_out), int(crossing), float(bound))
+            for mask, e_in, e_out, crossing, bound, _ in failed)
+
     def test_json_byte_identical(self, capsys):
         argv = ["verify", "--gen", "gnp:8,0.5,42", "--partition", "all-pairs",
                 "--mode", "sample", "--trials", "200", "--seed", "11",
@@ -457,6 +479,14 @@ def test_key_value_csv_quotes_list_values(capsys, tmp_path, argv, key):
     assert len(value) > 1 and json.loads(dict(rows)[key]) == value
 
 
+@pytest.mark.parametrize("spec", ["complete:99999999999999999999999",
+                                  "empty:99999999999999999999999"])
+def test_oversized_generator_exits_2(capsys, spec):
+    code, out, err = run(capsys, "certify", "--gen", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: "), err
+
+
 def test_gnp_spec_matches_library(capsys):
     code, out, _ = run(capsys, "certify", "--gen", "gnp:10,0.5,42",
                        "--format", "json")
@@ -543,7 +573,8 @@ def cli_calls(draw, paths):
         return ["report", *source(), "--mode", mode, *fmt]
     argv = ["verify", *source(), "--partition", partition(),
             "--bound", draw(st.sampled_from(["base", "refined"])),
-            "--variant", draw(st.sampled_from(["as-stated", "tight"])), *fmt]
+            *draw(st.sampled_from([[], ["--variant", "as-stated"], ["--variant", "tight"]])),
+            *fmt]
     if draw(st.booleans()):
         argv += ["--mode", "sample", "--trials", str(draw(st.integers(-1, 40))),
                  "--seed", str(draw(st.integers(0, 3)))]

@@ -78,13 +78,7 @@ def _resolve_partition(spec: str, n: int) -> partitions.PairPartition:
     if spec == "near-pencil":
         return partitions.near_pencil(n)
     if spec.startswith("affine:"):
-        q = int(spec.split(":", 1)[1])
-        part = partitions.affine_plane(q)
-        if part.n != n:
-            raise CliInputError(
-                f"affine plane of order {q} has {part.n} points, graph has {n} vertices"
-            )
-        return part
+        return partitions.affine_plane(int(spec.split(":", 1)[1]))
     return partitions.load_blocks(spec, n)
 
 
@@ -169,6 +163,7 @@ def cmd_verify(args) -> int:
     if args.variant is not None and args.bound != cuts.KIND_REFINED:
         raise CliInputError("--variant needs --bound refined")
     graph = _resolve_graph(args)
+    cuts._check_cut_request(graph.n, trials, seed)  # before the partition is built
     partition = _resolve_partition(args.partition, graph.n)
     csv_out = sys.stdout if args.format == "csv" else None
     report = cuts.verify_bound(graph, partition, kind=args.bound,
@@ -264,8 +259,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -319,6 +319,21 @@ def _bound_tables(kind: str, variant: str, c, graph: Graph):
     return np.array([math.ceil(b) for b in exact]), np.array([float(b) for b in exact])
 
 
+def _check_cut_request(n: int, trials: int | None, seed: int) -> None:
+    """Raise unless verify_bound can examine the cuts asked for on n vertices:
+    every cut up to the cap (trials None), or trials >= 1 seeded samples."""
+    if trials is None:
+        _cut_count(n)
+    elif trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    elif seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    elif n > 62:
+        raise CutCapError("sampled bitmask cuts support n <= 62")
+    elif n < 2:
+        raise ValueError("sampling needs n >= 2")
+
+
 def verify_bound(
     graph: Graph,
     partition: PairPartition,
@@ -333,19 +348,9 @@ def verify_bound(
     per seed. An inapplicable bound examines none. A text stream csv gets
     the header once the bound is settled, then each chunk's rows as soon as
     it is evaluated."""
-    if trials is None:
-        _cut_count(graph.n)  # the cap holds whatever the certificate says
-        key_chunks = _exhaustive_keys(graph)
-    else:
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-        if graph.n > 62:
-            raise CutCapError("sampled bitmask cuts support n <= 62")
-        if graph.n < 2:
-            raise ValueError("sampling needs n >= 2")
-        key_chunks = _sampled_keys(graph, trials, seed)
+    _check_cut_request(graph.n, trials, seed)  # whatever the certificate says
+    key_chunks = (_exhaustive_keys(graph) if trials is None
+                  else _sampled_keys(graph, trials, seed))
     failing = replication_degree_check(graph, partition)
     cert = partition_certificate(graph, partition)
     reason = None

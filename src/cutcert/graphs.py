@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -119,10 +120,10 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from possibly duplicated edge pairs.
 
     Duplicates are silently merged; self-loops and out-of-range endpoints
-    are rejected.
+    are rejected; n is checked first, so a generator's pairs stay unbuilt.
     """
-    if n < 0:
-        raise GraphInputError(f"vertex count must be nonnegative, got {n}")
+    if not 0 <= n <= sys.maxsize:
+        raise GraphInputError(f"vertex count must be in [0, {sys.maxsize}], got {n}")
     edges = set()
     for u, v in pairs:
         if u == v:
@@ -167,8 +168,14 @@ def empty(n: int) -> Graph:
     return from_edge_list(n, [])
 
 
+def _all_pairs(n: int):
+    """Every pair u < v below n, in order; combinations only copies range(n)
+    when the first pair is read, and chain adds no work per pair."""
+    return itertools.chain.from_iterable(map(itertools.combinations, [range(n)], [2]))
+
+
 def complete(n: int) -> Graph:
-    return from_edge_list(n, itertools.combinations(range(n), 2))
+    return from_edge_list(n, _all_pairs(n))
 
 
 def path(n: int) -> Graph:
@@ -179,24 +186,28 @@ def star(k: int) -> Graph:
     """Star with k leaves: vertex 0 is the hub, n = k + 1."""
     if k < 1:
         raise GraphInputError(f"star needs at least one leaf, got {k}")
-    return from_edge_list(k + 1, ((0, i) for i in range(1, k + 1)))
+    return complete_multipartite((1, k))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise GraphInputError(f"complete_bipartite needs positive sides, got {a},{b}")
-    return from_edge_list(a + b, ((i, a + j) for i in range(a) for j in range(b)))
+    return complete_multipartite((a, b))
+
+
+def _cross_pairs(parts: Sequence[Sequence[int]]):
+    """Every pair (u, v) from two different parts, u's part first; each
+    product copies its two parts only when its first pair is read."""
+    pairs_of = itertools.starmap(itertools.product, itertools.combinations(parts, 2))
+    return itertools.chain.from_iterable(pairs_of)
 
 
 def complete_multipartite(sizes: Sequence[int]) -> Graph:
     if not sizes or any(s < 1 for s in sizes):
         raise GraphInputError(f"part sizes must be positive, got {list(sizes)}")
     bounds = list(itertools.accumulate(sizes, initial=0))
-    parts = [range(bounds[i], bounds[i + 1]) for i in range(len(sizes))]
-    pairs = []
-    for i, j in itertools.combinations(range(len(parts)), 2):
-        pairs.extend((u, v) for u in parts[i] for v in parts[j])
-    return from_edge_list(bounds[-1], pairs)
+    return from_edge_list(bounds[-1], _cross_pairs(
+        [range(lo, hi) for lo, hi in itertools.pairwise(bounds)]))
 
 
 def random_gnp(n: int, prob: float, seed: int) -> Graph:
@@ -204,21 +215,19 @@ def random_gnp(n: int, prob: float, seed: int) -> Graph:
     if not 0.0 <= prob <= 1.0:
         raise GraphInputError(f"edge probability must be in [0,1], got {prob}")
     rng = random.Random(seed)
-    pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < prob]
-    return from_edge_list(n, pairs)
+    return from_edge_list(n, (e for e in _all_pairs(n) if rng.random() < prob))
 
 
-def _pattern_edges(block: Sequence[int], pattern: str) -> list[tuple[int, int]]:
+def _pattern_edges(block: Sequence[int], pattern: str) -> Iterable[tuple[int, int]]:
     b = sorted(block)
     if pattern == "complete":
-        return list(itertools.combinations(b, 2))
+        return itertools.combinations(b, 2)
     if pattern == "complete-bipartite-halves":
-        h = len(b) // 2
-        return [(u, v) for u in b[:h] for v in b[h:]]
+        return _cross_pairs((b[:len(b) // 2], b[len(b) // 2:]))
     if pattern == "star-at-first":
-        return [(b[0], v) for v in b[1:]]
+        return _cross_pairs((b[:1], b[1:]))
     if pattern == "empty":
-        return []
+        return ()
     raise GraphInputError(f"unknown block pattern {pattern!r}")
 
 
@@ -243,42 +252,41 @@ def design_graph(n: int, blocks: Sequence[Sequence[int]], pattern) -> Graph:
             raise GraphInputError(
                 f"got {len(patterns)} patterns for {len(blocks)} blocks"
             )
-    pairs = []
-    for block, pat in zip(blocks, patterns):
-        pairs.extend(_pattern_edges(block, pat))
+    pairs = itertools.chain.from_iterable(map(_pattern_edges, blocks, patterns))
     return from_edge_list(n, pairs)
 
 
 # ---------------------------------------------------------------------------
-# Edge-list text format: first line "n m", then m lines "u v"; '#' comments.
+# Text formats, both read by _int_lines: an edge list is "n m", then m "u v" lines.
+
+
+def _int_lines(text: str, error=GraphInputError) -> list[tuple[int, list[int]]]:
+    """(line number, integers) of each line that is not blank or a '#' comment."""
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            try:
+                rows.append((lineno, list(map(int, fields))))
+            except ValueError:
+                raise error(f"line {lineno}: expected integers, got {raw!r}")
+    return rows
 
 
 def parse_edge_list(text: str) -> Graph:
-    header = None
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        try:
-            values = [int(f) for f in fields]
-        except ValueError:
-            raise GraphInputError(f"line {lineno}: expected integers, got {raw!r}")
-        if header is None:
-            if len(values) != 2:
-                raise GraphInputError(f"line {lineno}: header must be 'n m'")
-            header = values
-            continue
-        if len(values) != 2:
-            raise GraphInputError(f"line {lineno}: edge line must be 'u v'")
-        pairs.append((values[0], values[1]))
-    if header is None:
+    rows = _int_lines(text)
+    if not rows:
         raise GraphInputError("empty graph file: missing 'n m' header")
+    (lineno, header), edges = rows[0], rows[1:]
+    if len(header) != 2:
+        raise GraphInputError(f"line {lineno}: header must be 'n m'")
+    for lineno, pair in edges:
+        if len(pair) != 2:
+            raise GraphInputError(f"line {lineno}: edge line must be 'u v'")
     n, m = header
-    if len(pairs) != m:
-        raise GraphInputError(f"header promises {m} edges, file lists {len(pairs)}")
-    return from_edge_list(n, pairs)
+    if len(edges) != m:
+        raise GraphInputError(f"header promises {m} edges, file lists {len(edges)}")
+    return from_edge_list(n, [pair for _, pair in edges])
 
 
 def load_edge_list(file) -> Graph:

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import smallness
-from .graphs import Graph
+from .graphs import Graph, _int_lines
 
 
 class PartitionError(ValueError):
@@ -98,16 +98,19 @@ class PairPartition:
 # Structural checks against a graph
 
 
+def _check_order(graph: Graph, partition: PairPartition) -> None:
+    if graph.n != partition.n:
+        raise PartitionError(f"size mismatch: graph has {graph.n} vertices, "
+                             f"partition {partition.n}")
+
+
 def replication_degree_check(graph: Graph, partition: PairPartition) -> tuple[int, ...]:
     """Vertices whose replication r_v exceeds their degree d_v.
 
     r_v <= d_v everywhere is the unstated hypothesis the cut-bound proof
     leans on; it is reported, never enforced.
     """
-    if graph.n != partition.n:
-        raise PartitionError(
-            f"size mismatch: graph has {graph.n} vertices, partition {partition.n}"
-        )
+    _check_order(graph, partition)
     return tuple(
         v for v, (r, d) in enumerate(zip(partition.replication, graph.degrees)) if r > d
     )
@@ -127,10 +130,7 @@ class PartitionCertificate:
 
 
 def partition_certificate(graph: Graph, partition: PairPartition) -> PartitionCertificate:
-    if graph.n != partition.n:
-        raise PartitionError(
-            f"size mismatch: graph has {graph.n} vertices, partition {partition.n}"
-        )
+    _check_order(graph, partition)
     c = Fraction(0)
     for i, block in enumerate(partition.blocks):
         cert = smallness.minimal_c(graph.induced_subgraph(block))
@@ -176,7 +176,7 @@ def affine_plane(q: int) -> PairPartition:
     Points are (x, y) encoded as x*q + y; q must be prime (and <= 13 to
     stay at desk scale).
     """
-    if not _is_prime(q) or q > 13:
+    if q > 13 or not _is_prime(q):
         raise PartitionError(f"affine plane needs a prime q <= 13, got {q}")
     blocks = []
     for slope in range(q):
@@ -194,16 +194,7 @@ def affine_plane(q: int) -> PairPartition:
 
 def parse_block_lines(text: str) -> list[tuple[int, ...]]:
     """Parse block lines without validating the partition conditions."""
-    blocks = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            blocks.append(tuple(int(f) for f in line.split()))
-        except ValueError:
-            raise PartitionError(f"line {lineno}: expected integers, got {raw!r}")
-    return blocks
+    return [tuple(block) for _, block in _int_lines(text, PartitionError)]
 
 
 def parse_blocks(text: str, n: int) -> PairPartition:

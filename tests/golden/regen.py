@@ -93,6 +93,16 @@ def calls() -> list[list[str]]:
              "sample", "--trials", "5000", "--seed", "2", "--format", "csv"],
             ["verify", "--gen", "complete:5", "--partition", "trivial", "--mode", "sample",
              "--format", "human"]]
+    # sampled sweep over n = 2..62: generator, partition, format and bound kind
+    # turn with n, so that every pair of any two of them occurs
+    for n in range(2, 63):
+        gen = (f"complete:{n}", f"gnp:{n},0.3,{n}", f"path:{n}",
+               f"bipartite:{n // 2},{n - n // 2}")[n % 4]
+        part = ("trivial", "all-pairs", "near-pencil")[(n + 1) % 3]
+        kind = ("base", "refined")[n // 4 % 2]
+        out.append(["verify", "--gen", gen, "--partition", part, "--bound", kind, "--mode",
+                    "sample", "--trials", "400", "--seed", str(n % 7), "--format",
+                    formats[n // 3 % 3]])
     # reports
     for gen, mode in itertools.product(
             ("complete:4", "star:5", "path:6", "empty:3", "empty:1", "bipartite:3,4",
@@ -116,12 +126,17 @@ def calls() -> list[list[str]]:
                  "gnp:6,0.5,1,9", "gnp:4,,0.5,1", "star:5,", "complete:,5", "gnp:x,0.5,1",
                  "complete:1.5", "gnp:6,half,1", "moebius:3", "path:-1", "star:0",
                  "bipartite:0,2", "multipartite:2,0", "gnp:5,2,1",
-                 "complete:99999999999999999999999", "empty:99999999999999999999999"):
+                 "complete:99999999999999999999999", "empty:99999999999999999999999",
+                 "star:99999999999999999999999", "path:99999999999999999999999",
+                 "bipartite:99999999999999999999999,1", "multipartite:99999999999999999999999,1",
+                 "gnp:99999999999999999999999,0.5,1"):
         out.append(["certify", "--gen", spec])
     for name in ("bad_line.txt", "self_loop.txt", "out_of_range.txt", "short.txt",
                  "no_header.txt", "missing.txt"):
         out.append(["certify", "--graph", _file(name)])
-    for part in ("affine:3", "affine:x", "affine:4", _file("malformed.blocks"),
+    # 2^127 - 1 is prime: the order cap comes before the primality test
+    for part in ("affine:3", "affine:x", "affine:4",
+                 "affine:170141183460469231731687303715884105727", _file("malformed.blocks"),
                  _file("block_out_of_range.blocks"), _file("undersized.blocks"),
                  _file("missing.blocks")):
         out.append(["verify", "--gen", "complete:5", "--partition", part, "--format", "csv"])
@@ -134,6 +149,8 @@ def calls() -> list[list[str]]:
             ["verify", "--gen", "gnp:27,0.5,1", "--partition", "trivial", "--format", "csv"],
             ["verify", "--gen", "complete:63", "--partition", "trivial", "--mode", "sample"],
             ["verify", "--gen", "empty:0", "--partition", "trivial"],
+            # refused before the 1,999,000-pair trivial partition is built
+            ["verify", "--gen", "empty:2000", "--partition", "trivial"],
             ["verify", "--gen", "complete:5", "--partition", "trivial", "--variant", "as-stated",
              "--format", "csv"],
             ["report", "--gen", "complete:27", "--mode", "sparsity"],

@@ -169,7 +169,7 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--gen", "complete:5",
                            "--partition", "affine:3")
         assert code == 2
-        assert "9 points" in err
+        assert err == "error: size mismatch: graph has 5 vertices, partition 9\n"
 
     def test_affine_partition(self, capsys):
         code, out, _ = run(capsys, "verify", "--gen", "complete:9",
@@ -275,6 +275,29 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--gen", gen, "--partition", "trivial")
         assert code == 2
         assert out == "" and "capped at n=26" in err
+
+    @pytest.mark.parametrize("gen, flags, err", [
+        ("empty:2000", [], "exhaustive enumeration capped at n=26"),
+        ("empty:5000000", [], "exhaustive enumeration capped at n=26"),
+        ("empty:63", ["--mode", "sample"], "sampled bitmask cuts support n <= 62"),
+        ("empty:1", ["--mode", "sample"], "sampling needs n >= 2"),
+        ("complete:5", ["--mode", "sample", "--trials", "0"], "trials must be >= 1"),
+        ("complete:5", ["--mode", "sample", "--seed", "-1"], "seed must be >= 0"),
+    ])
+    @pytest.mark.parametrize("partition", ["trivial", "all-pairs", "near-pencil", "affine:3",
+                                           "blocks.txt"])
+    def test_cut_request_refused_before_the_partition(self, capsys, monkeypatch, gen, flags,
+                                                      err, partition):
+        def unbuildable(*args):
+            raise AssertionError("the partition was built")
+
+        for name in ("trivial_partition", "all_pairs_partition", "near_pencil",
+                     "affine_plane", "load_blocks"):
+            monkeypatch.setattr(partitions, name, unbuildable)
+        code, out, got = run(capsys, "verify", "--gen", gen, "--partition", partition,
+                             *flags, "--format", "csv")
+        assert code == 2 and out == ""
+        assert got.startswith(f"error: {err}") and got.count("\n") == 1, got
 
     def test_csv_rows_span_several_chunks(self, capsys):
         g = graphs.random_gnp(18, 0.5, 3)
@@ -479,12 +502,29 @@ def test_key_value_csv_quotes_list_values(capsys, tmp_path, argv, key):
     assert len(value) > 1 and json.loads(dict(rows)[key]) == value
 
 
-@pytest.mark.parametrize("spec", ["complete:99999999999999999999999",
-                                  "empty:99999999999999999999999"])
+@pytest.mark.parametrize("spec", [
+    f"{name}:{size}" for size in ("99999999999999999999999", "9223372036854775808")
+    for name in ("complete", "empty", "path", "star")] + [
+    "bipartite:99999999999999999999999,1", "complete-bipartite:1,99999999999999999999999",
+    "multipartite:99999999999999999999999,1", "multipartite:2,9223372036854775806",
+    "gnp:99999999999999999999999,0.5,1"])
 def test_oversized_generator_exits_2(capsys, spec):
+    # every family fails at from_edge_list's one vertex-count check, before
+    # any pair is built
     code, out, err = run(capsys, "certify", "--gen", spec)
     assert code == 2 and out == ""
-    assert err.startswith("error: "), err
+    assert err.startswith("error: vertex count must be in [0, 9223372036854775807], got ")
+    assert err.count("\n") == 1, err
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    # MemoryError carries no text of its own
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(graphs, "from_edge_list", exhausted)
+    code, out, err = run(capsys, "certify", "--gen", "empty:5")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 def test_gnp_spec_matches_library(capsys):
@@ -504,7 +544,8 @@ SIZES = st.integers(0, 8)
 GEN_SPECS = st.one_of(
     st.sampled_from(["empty:0", "star:0", "gnp:5,2,1", "complete:", "moebius:3",
                      "bipartite:0,2", "multipartite:", "path:-1", "gnp:4,0.5",
-                     "gnp:6,0.5,1,9", "gnp:4,,0.5,1", "star:5,", "complete:,5"]),
+                     "gnp:6,0.5,1,9", "gnp:4,,0.5,1", "star:5,", "complete:,5",
+                     "star:99999999999999999999999", "multipartite:99999999999999999999999,1"]),
     st.builds("star:{}".format, st.integers(0, 7)),
     st.builds("complete:{}".format, SIZES),
     st.builds("path:{}".format, SIZES),

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -187,6 +188,33 @@ class TestGenerators:
         with pytest.raises(GraphInputError):
             graphs.star(0)
 
+    @pytest.mark.parametrize("n", [-1, sys.maxsize + 1, 10**23])
+    def test_vertex_count_checked_before_any_pair(self, n):
+        def pairs():
+            raise AssertionError("a pair was read")
+            yield
+
+        with pytest.raises(GraphInputError, match=r"vertex count must be in \[0, "):
+            from_edge_list(n, pairs())
+
+    @pytest.mark.parametrize("build", [
+        graphs.empty, graphs.complete, graphs.path, lambda n: graphs.star(n - 1),
+        lambda n: graphs.complete_bipartite(1, n - 1),
+        lambda n: graphs.complete_multipartite([2, n - 3, 1]),
+        lambda n: graphs.random_gnp(n, 0.5, 1)])
+    def test_every_family_meets_the_one_check(self, build):
+        n = sys.maxsize + 1
+        with pytest.raises(GraphInputError) as exc:
+            build(n)
+        assert str(exc.value) == f"vertex count must be in [0, {sys.maxsize}], got {n}"
+
+    @pytest.mark.parametrize("sizes", [[1], [3], [1, 4], [2, 3], [3, 1, 2], [1, 1, 1, 1]])
+    def test_multipartite_edges_join_different_parts(self, sizes):
+        part = [i for i, size in enumerate(sizes) for _ in range(size)]
+        expected = {(u, v) for u, v in itertools.combinations(range(len(part)), 2)
+                    if part[u] != part[v]}
+        assert graphs.complete_multipartite(sizes).edges == expected
+
 
 class TestDesignGraph:
     def test_near_pencil_complete_blocks_build_k5(self):
@@ -237,6 +265,17 @@ class TestEdgeListFormat:
     def test_header_takes_two_fields(self):
         with pytest.raises(GraphInputError, match="line 1: header must be 'n m'"):
             parse_edge_list("3 1 7\n0 1\n")
+
+    def test_bad_token_text_matches_blocks_format(self):
+        from cutcert.partitions import PartitionError, parse_block_lines
+
+        text = "3 1\n0 x  # bad\n"
+        with pytest.raises(GraphInputError) as as_graph:
+            parse_edge_list(text)
+        with pytest.raises(PartitionError) as as_blocks:
+            parse_block_lines(text)
+        assert str(as_graph.value) == str(as_blocks.value) == (
+            "line 2: expected integers, got '0 x  # bad'")
 
     def test_edge_line_takes_two_fields(self):
         with pytest.raises(GraphInputError, match="line 2: edge line must be 'u v'"):

@@ -67,7 +67,9 @@ class TestGenerators:
             assert validate(p.n, p.blocks).valid
 
     def test_affine_requires_prime(self):
-        for q in (0, 1, 4, 6, 17):
+        # 2^127 - 1 is prime: its trial division would not end, so the
+        # order cap must come first
+        for q in (0, 1, 4, 6, 17, 2**127 - 1):
             with pytest.raises(PartitionError):
                 affine_plane(q)
 

@@ -25,19 +25,21 @@ def _canon_edge(u: int, v: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1; construction checks every edge."""
 
     n: int
     edges: frozenset  # frozenset of (u, v) tuples with u < v
 
     def __post_init__(self):
         for edge in self.edges:
-            if not (isinstance(edge, tuple) and len(edge) == 2
-                    and all(isinstance(x, int) for x in edge)
-                    and 0 <= edge[0] < edge[1] < self.n):
-                raise GraphInputError(
-                    f"edge {edge!r} is not a pair of ints u < v in [0,{self.n})"
-                )
+            if not (isinstance(edge, tuple) and len(edge) == 2 and isinstance(edge[0], int)
+                    and isinstance(edge[1], int) and edge[0] <= edge[1]):
+                raise GraphInputError(f"edge {edge!r} is not a pair of ints u < v in [0,{self.n})")
+            u, v = edge
+            if u == v:
+                raise GraphInputError(f"self-loop ({u},{v}) not allowed")
+            if u < 0 or v >= self.n:
+                raise GraphInputError(f"edge ({u},{v}) has endpoint out of range [0,{self.n})")
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
@@ -116,22 +118,20 @@ class Graph:
         )
 
 
-def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from possibly duplicated edge pairs.
-
-    Duplicates are silently merged; self-loops and out-of-range endpoints
-    are rejected; n is checked first, so a generator's pairs stay unbuilt.
-    """
+def _check_count(n: int, error=GraphInputError) -> None:
+    """A vertex count must index a sequence: n in [0, sys.maxsize]."""
     if not 0 <= n <= sys.maxsize:
-        raise GraphInputError(f"vertex count must be in [0, {sys.maxsize}], got {n}")
-    edges = set()
-    for u, v in pairs:
-        if u == v:
-            raise GraphInputError(f"self-loop ({u},{v}) not allowed")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphInputError(f"edge ({u},{v}) has endpoint out of range [0,{n})")
-        edges.add(_canon_edge(u, v))
-    return Graph(n, frozenset(edges))
+        raise error(f"vertex count must be in [0, {sys.maxsize}], got {n}")
+
+
+def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
+    """Build a Graph from possibly duplicated edge pairs in either order.
+
+    Duplicates are silently merged and Graph checks the edges; n is checked
+    first, so a generator's pairs stay unbuilt.
+    """
+    _check_count(n)
+    return Graph(n, frozenset(_canon_edge(u, v) for u, v in pairs))
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,7 @@ def check_symmetric(M: np.ndarray) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if not np.array_equal(M, M.T):
-        if not np.allclose(M, M.T, atol=1e-12):
-            raise ValueError("matrix is not symmetric")
-        M = (M + M.T) / 2.0
+        raise ValueError("matrix is not symmetric")
     return M
 
 

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import smallness
-from .graphs import Graph, _int_lines
+from .graphs import Graph, _check_count, _int_lines
 
 
 class PartitionError(ValueError):
@@ -47,8 +47,7 @@ class PartitionValidationReport:
 
 def validate(n: int, blocks: Iterable[Iterable[int]]) -> PartitionValidationReport:
     """Exhaustive audit of the block-size and pair-coverage conditions."""
-    if n < 0:
-        raise PartitionError(f"ground-set size must be nonnegative, got {n}")
+    _check_count(n, PartitionError)
     blocks = _canon_blocks(blocks)
     for block in blocks:
         for v in block:

@@ -38,6 +38,9 @@ FILES = {
     "bad_line.txt": "3 1\nx y\n",
     "self_loop.txt": "3 1\n1 1\n",
     "out_of_range.txt": "2 1\n0 5\n",
+    "reversed_out_of_range.txt": "2 1\n5 0\n",
+    "short_header.txt": "3\n0 1\n",
+    "long_edge.txt": "3 1\n0 1 2\n",
     "short.txt": "3 2\n0 1\n",
     "no_header.txt": "",
     "near_pencil.blocks": "0 1 2 3\n0 4\n1 4\n2 4\n3 4\n",
@@ -131,7 +134,8 @@ def calls() -> list[list[str]]:
                  "bipartite:99999999999999999999999,1", "multipartite:99999999999999999999999,1",
                  "gnp:99999999999999999999999,0.5,1"):
         out.append(["certify", "--gen", spec])
-    for name in ("bad_line.txt", "self_loop.txt", "out_of_range.txt", "short.txt",
+    for name in ("bad_line.txt", "self_loop.txt", "out_of_range.txt",
+                 "reversed_out_of_range.txt", "short_header.txt", "long_edge.txt", "short.txt",
                  "no_header.txt", "missing.txt"):
         out.append(["certify", "--graph", _file(name)])
     # 2^127 - 1 is prime: the order cap comes before the primality test
@@ -145,16 +149,22 @@ def calls() -> list[list[str]]:
                   ["--mode", "sample", "--trials", "3", "--seed", "-1"]):
         out.extend(["verify", "--gen", "complete:5", "--partition", "trivial", *flags,
                     "--format", fmt] for fmt in ("csv", "json"))
+    # the refined bound is inapplicable (exit 4) on a graph with no edges
+    out.extend(["verify", "--gen", "empty:4", "--partition", "trivial", "--bound", "refined",
+                "--format", fmt] for fmt in formats)
     out += [["verify", "--gen", "complete:27", "--partition", "trivial"],
             ["verify", "--gen", "gnp:27,0.5,1", "--partition", "trivial", "--format", "csv"],
             ["verify", "--gen", "complete:63", "--partition", "trivial", "--mode", "sample"],
             ["verify", "--gen", "empty:0", "--partition", "trivial"],
+            ["verify", "--gen", "empty:1", "--partition", "trivial", "--mode", "sample"],
             # refused before the 1,999,000-pair trivial partition is built
             ["verify", "--gen", "empty:2000", "--partition", "trivial"],
             ["verify", "--gen", "complete:5", "--partition", "trivial", "--variant", "as-stated",
              "--format", "csv"],
             ["report", "--gen", "complete:27", "--mode", "sparsity"],
             ["validate", "--partition", _file("near_pencil.blocks"), "--n", "-1"],
+            ["validate", "--partition", _file("near_pencil.blocks"), "--n",
+             "99999999999999999999999"],
             ["validate", "--partition", _file("malformed.blocks"), "--n", "4"]]
     return out
 

@@ -42,8 +42,10 @@ def test_self_loop_rejected():
 
 
 def test_endpoint_out_of_range():
-    with pytest.raises(GraphInputError, match="out of range"):
-        from_edge_list(3, [(0, 3)])
+    # Graph reports the edge in its canonical form, whichever order it came in
+    for pair in ((0, 3), (3, 0)):
+        with pytest.raises(GraphInputError, match=r"^edge \(0,3\) has endpoint out of range"):
+            from_edge_list(3, [pair])
 
 
 def test_direct_construction_rejects_noncanonical_duplicate():
@@ -53,8 +55,13 @@ def test_direct_construction_rejects_noncanonical_duplicate():
 
 
 def test_direct_construction_rejects_endpoint_out_of_range():
-    with pytest.raises(GraphInputError, match=r"\(0, 3\)"):
+    with pytest.raises(GraphInputError, match=r"\(0,3\) has endpoint out of range"):
         graphs.Graph(3, frozenset({(0, 1), (0, 3)}))
+
+
+def test_direct_construction_rejects_self_loop():
+    with pytest.raises(GraphInputError, match=r"^self-loop \(1,1\) not allowed$"):
+        graphs.Graph(3, frozenset({(1, 1)}))
 
 
 def test_adjacency_masks():

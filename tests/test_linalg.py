@@ -5,6 +5,7 @@ import pytest
 
 from cutcert import graphs
 from cutcert.linalg import (
+    check_symmetric,
     eigen_all,
     is_psd,
     quadratic_form,
@@ -79,6 +80,10 @@ class TestEigenAll:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             eigen_all(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_symmetry_is_exact(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            check_symmetric(np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]]))
 
 
 class TestIsPsd:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -40,6 +41,12 @@ class TestValidate:
     def test_out_of_range_member(self):
         with pytest.raises(PartitionError, match="out of range"):
             validate(3, [(0, 1, 5)])
+
+    @pytest.mark.parametrize("n", [-1, 10**23])
+    def test_ground_set_meets_the_vertex_count_rule(self, n):
+        with pytest.raises(PartitionError) as exc:
+            validate(n, [(0, 1)])
+        assert str(exc.value) == f"vertex count must be in [0, {sys.maxsize}], got {n}"
 
 
 class TestGenerators:

@@ -120,13 +120,11 @@ def _cut_vector(n: int, S) -> np.ndarray:
     """The integer cut vector X = n*x of S, where x is q on S and -p off S.
 
     With s = |S| and t = n - s, X is t on S and -s off S, so its coordinates
-    sum to exactly zero. S must already be validated: a negative vertex would
-    silently index from the end.
+    sum to exactly zero. S must already be validated: a vertex outside
+    [0, n) would count in s without a coordinate of its own.
     """
-    s = len(S)
-    X = np.full(n, -s, dtype=np.int64)
-    X[list(S)] = n - s
-    return X
+    s, t = len(S), n - len(S)
+    return np.array([t if v in S else -s for v in range(n)], dtype=np.int64)
 
 
 def identity_suite(graph: Graph, members) -> dict[str, float]:
@@ -145,15 +143,17 @@ def identity_suite(graph: Graph, members) -> dict[str, float]:
     n = graph.n
     if not S or len(S) >= n:
         raise BoundDomainError("identities need a nonempty proper subset S")
-    stats = cut_stats(graph, S)  # validates S before X is indexed by it
+    stats = cut_stats(graph, S)  # validates S before X is built from it
     s, t = len(S), n - len(S)
     X = _cut_vector(n, S)
     # int64 is exact: every row of the stack has absolute sum <= 2n and
     # |X_v| <= n, so each partial sum is at most 2n^4 < 2^63 for any n whose
     # dense matrices fit in memory.
     XLX, XAX, XDX, sum_sq, XX = ((graph.form_stack @ X).reshape(5, n) @ X).tolist()
-    deg_S = sum(graph.degrees[v] for v in S)
-    deg_Sc = sum(graph.degrees[v] for v in range(n) if v not in S)
+    deg = [0, 0]  # deg(S^c) and deg(S), each summed over its own side
+    for v, d in enumerate(graph.degrees):
+        deg[v in S] += d
+    deg_Sc, deg_S = deg
     n2 = n * n
 
     return {

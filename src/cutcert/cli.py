@@ -32,25 +32,28 @@ class CliInputError(ValueError):
 # Sources
 
 
-# generator name: (builder, argument types); a trailing ... means one or
-# more arguments of the type before it
+# generator name: (builder, argument types, vertex count from the arguments);
+# a trailing ... means one or more arguments of the type before it
 _GENERATORS = {
-    "star": (graphs.star, (int,)),
-    "complete": (graphs.complete, (int,)),
-    "path": (graphs.path, (int,)),
-    "empty": (graphs.empty, (int,)),
-    "bipartite": (graphs.complete_bipartite, (int, int)),
-    "complete-bipartite": (graphs.complete_bipartite, (int, int)),
-    "multipartite": (lambda *sizes: graphs.complete_multipartite(sizes), (int, ...)),
-    "gnp": (graphs.random_gnp, (int, float, int)),
+    "star": (graphs.star, (int,), lambda k: k + 1),
+    "complete": (graphs.complete, (int,), lambda n: n),
+    "path": (graphs.path, (int,), lambda n: n),
+    "empty": (graphs.empty, (int,), lambda n: n),
+    "bipartite": (graphs.complete_bipartite, (int, int), lambda a, b: a + b),
+    "complete-bipartite": (graphs.complete_bipartite, (int, int), lambda a, b: a + b),
+    "multipartite": (lambda *sizes: graphs.complete_multipartite(sizes), (int, ...),
+                     lambda *sizes: sum(sizes)),
+    "gnp": (graphs.random_gnp, (int, float, int), lambda n, p, seed: n),
 }
 
 
-def _parse_gen(spec: str) -> graphs.Graph:
+def _parse_gen(spec: str):
+    """(order, build) of a generator spec: its vertex count, known before any
+    edge is built, and a call that builds the graph."""
     name, _, argstr = spec.partition(":")
     if name not in _GENERATORS:
         raise CliInputError(f"unknown generator {name!r} in spec {spec!r}")
-    builder, types = _GENERATORS[name]
+    builder, types, order = _GENERATORS[name]
     args = argstr.split(",") if argstr else []
     usage = ",".join("..." if t is ... else t.__name__ for t in types)
     if types[-1] is ...:
@@ -61,13 +64,13 @@ def _parse_gen(spec: str) -> graphs.Graph:
         values = [kind(a) for kind, a in zip(types, args)]
     except ValueError as exc:
         raise CliInputError(f"bad generator spec {spec!r}: {exc}")
-    return builder(*values)
+    return order(*values), lambda: builder(*values)
 
 
 def _resolve_graph(args) -> graphs.Graph:
     if args.graph:
         return graphs.load_edge_list(args.graph)
-    return _parse_gen(args.gen)
+    return _parse_gen(args.gen)[1]()
 
 
 def _resolve_partition(spec: str, n: int) -> partitions.PairPartition:
@@ -162,6 +165,8 @@ def cmd_verify(args) -> int:
     trials, seed = _resolve_sampling(args)
     if args.variant is not None and args.bound != cuts.KIND_REFINED:
         raise CliInputError("--variant needs --bound refined")
+    if args.gen:  # a --gen graph's order is checked before any edge is built
+        cuts._check_cut_request(_parse_gen(args.gen)[0], trials, seed)
     graph = _resolve_graph(args)
     cuts._check_cut_request(graph.n, trials, seed)  # before the partition is built
     partition = _resolve_partition(args.partition, graph.n)
@@ -190,15 +195,14 @@ def cmd_report(args) -> int:
         }
         _emit(payload, args.format)
         return EXIT_OK
-    # identities over all cuts
-    worst = {name: 0.0 for name in bounds.IDENTITY_NAMES}
+    # identities over all cuts, folded by position in IDENTITY_NAMES order
+    worst = [0.0] * len(bounds.IDENTITY_NAMES)
     examined = 0
     for S in cuts.enumerate_cuts(graph):
-        residuals = bounds.identity_suite(graph, S)
-        for name, value in residuals.items():
-            worst[name] = max(worst[name], value)
+        worst = list(map(max, worst, bounds.identity_suite(graph, S).values()))
         examined += 1
-    payload = {"cuts_examined": examined, "max_residuals": worst}
+    payload = {"cuts_examined": examined,
+               "max_residuals": dict(zip(bounds.IDENTITY_NAMES, worst))}
     _emit(payload, args.format)
     return EXIT_OK
 

@@ -25,6 +25,7 @@ checked, so memory does not grow with the number of cuts.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,13 +63,6 @@ def _cut_count(n: int) -> int:
             f"got n={n}, use sampling"
         )
     return (1 << (n - 1)) - 1 if n > 1 else 0
-
-
-def _exhaustive_masks(n: int):
-    total = _cut_count(n)
-    for start in range(0, total, _CHUNK):
-        t = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        yield 1 | (t << 1)
 
 
 def _sampled_masks(n: int, trials: int, seed: int):
@@ -182,10 +176,21 @@ def _mask_members(mask: int) -> tuple[int, ...]:
 
 
 def enumerate_cuts(graph: Graph):
-    """Yield each nontrivial unordered cut once, as the side containing 0."""
-    for masks in _exhaustive_masks(graph.n):
-        for mask in masks.tolist():
-            yield frozenset(_mask_members(mask))
+    """Yield each nontrivial unordered cut once, as the side containing 0,
+    in ascending bitmask order: frozenset(L + H) for the member tuples of
+    each subset H of vertices b..n-1 and, inside it, each subset L of
+    0..b-1 that holds 0 (b = min(n, 16)). Both tables are built once per
+    call by doubling, and the count drops the all-ones mask, which is last.
+    """
+    count = _cut_count(graph.n)
+    b = min(graph.n, _LOW_BITS)
+    lows, highs = [(0,)], [()]
+    for v in range(1, b):
+        lows += [low + (v,) for low in lows]
+    for v in range(b, graph.n):
+        highs += [high + (v,) for high in highs]
+    for high, low in itertools.islice(itertools.product(highs, lows), count):
+        yield frozenset(low + high)
 
 
 def fiedler_value(graph: Graph) -> float:

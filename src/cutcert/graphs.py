@@ -51,6 +51,17 @@ class Graph:
         return tuple(adj)
 
     @cached_property
+    def _endpoint_bits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per vertex v, two bitsets over edge indices in sorted edge order:
+        the edges whose lower endpoint is v, and those whose upper one is
+        (at most n·m bits in all)."""
+        lower, upper = [0] * self.n, [0] * self.n
+        for i, (u, v) in enumerate(sorted(self.edges)):
+            lower[u] |= 1 << i
+            upper[v] |= 1 << i
+        return tuple(lower), tuple(upper)
+
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(nbrs.bit_count() for nbrs in self.adjacency_masks)
 
@@ -148,16 +159,19 @@ class CutStats:
 
 
 def cut_stats(graph: Graph, members: Iterable[int]) -> CutStats:
-    """Edge counts of the cut S = members, from each edge's two endpoints."""
-    inside = [False] * graph.n
+    """Edge counts of the cut S = members (read once, repeats allowed), each
+    edge classified by its own two endpoints: P and Q, the ORs of the members'
+    ``_endpoint_bits``, hold the edges with lower and with upper endpoint in S,
+    so e_in = |P & Q|, crossing = |P ^ Q| and e_out counts the edges in neither.
+    """
+    lower, upper = graph._endpoint_bits
+    P = Q = 0
     for v in members:
         if not 0 <= v < graph.n:
             raise GraphInputError(f"cut vertex {v} out of range for n={graph.n}")
-        inside[v] = True
-    counts = [0, 0, 0]  # edges with 0, 1 or 2 endpoints in S
-    for u, v in graph.edges:
-        counts[inside[u] + inside[v]] += 1
-    return CutStats(e_in=counts[2], e_out=counts[0], crossing=counts[1])
+        P |= lower[v]
+        Q |= upper[v]
+    return CutStats((P & Q).bit_count(), graph.m - (P | Q).bit_count(), (P ^ Q).bit_count())
 
 
 # ---------------------------------------------------------------------------

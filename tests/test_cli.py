@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutcert import cuts, graphs, partitions
+from cutcert import cli, cuts, graphs, partitions
 from cutcert.cli import main
 from cutcert.cuts import (
     _CHUNK,
@@ -18,7 +18,6 @@ from cutcert.cuts import (
     _bound_tables,
     _decode,
     _exhaustive_keys,
-    _exhaustive_masks,
     _low_keys,
     _mask_keys,
     _sampled_masks,
@@ -30,6 +29,11 @@ TRIANGLE_CHAIN = [e for i in range(6) for e in
                   ((3 * i, 3 * i + 1), (3 * i, 3 * i + 2), (3 * i + 1, 3 * i + 2))]
 TRIANGLE_CHAIN += [(3 * i + 2, 3 * i + 3) for i in range(5)]
 NEAR_PENCIL_BLOCKS = "0 1 2 3\n0 4\n1 4\n2 4\n3 4\n"
+
+
+def all_masks(n):
+    """Every canonical cut's bitmask in ascending order: the odd masks below 2^n - 1."""
+    return 1 | np.arange(max((1 << n) // 2 - 1, 0), dtype=np.int64) << 1
 
 
 def kernel_stats(g, masks):
@@ -283,14 +287,24 @@ class TestVerify:
         ("empty:1", ["--mode", "sample"], "sampling needs n >= 2"),
         ("complete:5", ["--mode", "sample", "--trials", "0"], "trials must be >= 1"),
         ("complete:5", ["--mode", "sample", "--seed", "-1"], "seed must be >= 0"),
+        # each family's order, known before any edge is built
+        ("complete:2000", ["--mode", "sample"], "sampled bitmask cuts support n <= 62"),
+        ("star:62", ["--mode", "sample"], "sampled bitmask cuts support n <= 62"),
+        ("bipartite:30,33", ["--mode", "sample"], "sampled bitmask cuts support n <= 62"),
+        ("gnp:63,0.5,1", ["--mode", "sample"], "sampled bitmask cuts support n <= 62"),
+        ("star:26", [], "exhaustive enumeration capped at n=26; got n=27,"),
+        ("complete-bipartite:13,14", [], "exhaustive enumeration capped at n=26; got n=27,"),
+        ("multipartite:9,9,9", [], "exhaustive enumeration capped at n=26; got n=27,"),
+        ("path:27", [], "exhaustive enumeration capped at n=26; got n=27,"),
     ])
     @pytest.mark.parametrize("partition", ["trivial", "all-pairs", "near-pencil", "affine:3",
                                            "blocks.txt"])
     def test_cut_request_refused_before_the_partition(self, capsys, monkeypatch, gen, flags,
                                                       err, partition):
         def unbuildable(*args):
-            raise AssertionError("the partition was built")
+            raise AssertionError("the graph or the partition was built")
 
+        monkeypatch.setattr(graphs, "from_edge_list", unbuildable)
         for name in ("trivial_partition", "all_pairs_partition", "near_pencil",
                      "affine_plane", "load_blocks"):
             monkeypatch.setattr(partitions, name, unbuildable)
@@ -305,7 +319,7 @@ class TestVerify:
                            "--partition", "all-pairs", "--format", "csv")
         assert code in (0, 3)
         rows = np.array([line.split(",")[:4] for line in out.splitlines()[1:]], dtype=np.int64)
-        masks = np.concatenate(list(_exhaustive_masks(18)))
+        masks = all_masks(18)
         expected = np.column_stack([masks, *kernel_stats(g, masks)])
         assert np.array_equal(rows, expected)
 
@@ -357,7 +371,7 @@ class TestVerify:
             mode = ["--mode", "sample", "--trials", str(sample[0]), "--seed", str(sample[1])]
         else:  # the verify path chunks an exhaustive run by its high bits
             assert len(list(_exhaustive_keys(graph))) > 1
-            chunks = list(_exhaustive_masks(graph.n))
+            chunks = [all_masks(graph.n)]
             mode = []
         masks = np.concatenate(chunks)
         lines = ["cut_bitmask,e_in,e_out,crossing,bound,pass"]
@@ -439,7 +453,7 @@ class TestReport:
         code, out, _ = run(capsys, "report", "--graph", str(f),
                            "--mode", "sparsity", "--format", "json")
         assert code == 0
-        masks = np.concatenate(list(_exhaustive_masks(g.n)))
+        masks = all_masks(g.n)
         e_in, e_out, crossing = kernel_stats(g, masks)
         e_min = np.minimum(e_in, e_out)
         ok = e_min > 0
@@ -460,8 +474,9 @@ class TestReport:
 
 def test_generator_specs_cover_families(capsys):
     for spec, n in [("star:3", 4), ("complete:6", 6), ("path:4", 4),
-                    ("empty:3", 3), ("bipartite:2,3", 5),
+                    ("empty:3", 3), ("bipartite:2,3", 5), ("complete-bipartite:1,4", 5),
                     ("multipartite:2,2,2", 6), ("gnp:10,0.5,42", 10), ("empty:0", 0)]:
+        assert cli._parse_gen(spec)[0] == n  # the order verify checks before building
         code, out, _ = run(capsys, "report", "--gen", spec, "--mode", "sparsity",
                            "--format", "json")
         assert code == 0

@@ -1,3 +1,4 @@
+import inspect
 import io
 import itertools
 import math
@@ -5,18 +6,18 @@ import math
 import numpy as np
 import pytest
 from test_acceptance import _random_design_instance
-from test_cli import TRIANGLE_CHAIN, kernel_stats
+from test_cli import TRIANGLE_CHAIN, all_masks, kernel_stats
 
-from cutcert import bounds, graphs, partitions
+from cutcert import bounds, cuts, graphs, partitions
 from cutcert.cuts import (
     _CHUNK,
     _LOW_BITS,
     CutCapError,
     _decode,
     _exhaustive_keys,
-    _exhaustive_masks,
     _low_keys,
     _mask_keys,
+    _mask_members,
     _sampled_masks,
     enumerate_cuts,
     fiedler_value,
@@ -62,6 +63,18 @@ class TestEnumerateCuts:
     def test_cap(self):
         with pytest.raises(CutCapError, match="sampling"):
             list(enumerate_cuts(graphs.empty(27)))
+
+    @pytest.mark.parametrize("width", [1, 4, _LOW_BITS])
+    def test_member_tables_give_every_mask_in_order(self, monkeypatch, width):
+        # a narrow low table puts n = 1..12 on both sides of its width
+        monkeypatch.setattr(cuts, "_LOW_BITS", width)
+        for n in range(1, 13):
+            want = [frozenset(_mask_members(m)) for m in range(1, (1 << n) - 1, 2)]
+            assert list(enumerate_cuts(graphs.empty(n))) == want, n
+
+    def test_stays_a_generator_function(self):
+        # the benchmark's tracer counts yields only of generator functions
+        assert inspect.isgeneratorfunction(cuts.enumerate_cuts)
 
 
 def _assert_kernel_matches_cut_stats(g, masks):
@@ -158,7 +171,7 @@ def test_low_keys_entry_is_its_own_subset(name):
 def _assert_chunks_match_mask_stats(g):
     chunks = list(_exhaustive_keys(g))
     masks = np.concatenate([chunk[0] for chunk in chunks])
-    assert np.array_equal(masks, np.concatenate(list(_exhaustive_masks(g.n))))
+    assert np.array_equal(masks, all_masks(g.n))
     for masks, keys in chunks:
         for got, want in zip(_decode(g, keys), kernel_stats(g, masks)):
             assert np.array_equal(got, want)
@@ -171,7 +184,7 @@ class TestExhaustiveStats:
             assert len(masks) == 2 ** (n - 1) - 1
             assert np.all(np.diff(masks) > 0) and np.all(masks & 1)
             assert masks[-1] < (1 << n) - 1
-            assert np.array_equal(masks, np.concatenate(list(_exhaustive_masks(n))))
+            assert np.array_equal(masks, all_masks(n))
 
     def test_every_small_graph_matches_mask_stats(self):
         for n in range(2, 6):
@@ -374,7 +387,7 @@ def test_verdicts_memoised_across_chunks(kind, sample):
     c = partitions.partition_certificate(CHAIN, p).c
     k = c.denominator
     if sample is None:
-        masks = np.concatenate(list(_exhaustive_masks(CHAIN.n)))
+        masks = all_masks(CHAIN.n)
         chunk = masks >> _LOW_BITS
         report = verify_bound(CHAIN, p, kind=kind)
     else:
@@ -406,7 +419,7 @@ def test_verdicts_memoised_across_chunks(kind, sample):
 
 
 def test_sparsity_argmin_matches_endpoint_counts():
-    masks = np.concatenate(list(_exhaustive_masks(CHAIN.n)))
+    masks = all_masks(CHAIN.n)
     e_in, e_out, crossing = _endpoint_stats(CHAIN, masks)
     e_min = np.minimum(e_in, e_out)
     ratios = np.where(e_min > 0, crossing / np.maximum(e_min, 1), np.inf)

@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 
 import numpy as np
@@ -112,6 +113,20 @@ class TestCutStats:
     def test_vertex_out_of_range_rejected(self, members):
         with pytest.raises(GraphInputError, match="out of range"):
             cut_stats(graphs.path(4), members)
+
+    @pytest.mark.parametrize("g", [graphs.complete(26), graphs.random_gnp(30, 0.5, 11)],
+                             ids=["K26", "G(30,1/2)"])
+    def test_matches_edge_loop_past_64_edges(self, g):
+        assert g.m > 64  # edge-index bitsets wider than one machine word
+        rng = random.Random(7)
+        for _ in range(300):
+            S = rng.sample(range(g.n), rng.randrange(g.n + 1))
+            counts = [0, 0, 0]  # edges with 0, 1 or 2 endpoints in S
+            for u, v in g.edges:
+                counts[(u in S) + (v in S)] += 1
+            for members in (S, (v for v in S), S + S[: len(S) // 2]):
+                stats = cut_stats(g, members)
+                assert [stats.e_out, stats.crossing, stats.e_in] == counts, S
 
 
 class TestMatrices:

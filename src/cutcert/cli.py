@@ -67,10 +67,12 @@ def _parse_gen(spec: str):
     return order(*values), lambda: builder(*values)
 
 
-def _resolve_graph(args) -> graphs.Graph:
+def _graph_source(args):
+    """(order, build) of either graph flag; a --graph file is read here."""
     if args.graph:
-        return graphs.load_edge_list(args.graph)
-    return _parse_gen(args.gen)[1]()
+        graph = graphs.load_edge_list(args.graph)
+        return graph.n, lambda: graph
+    return _parse_gen(args.gen)
 
 
 def _resolve_partition(spec: str, n: int) -> partitions.PairPartition:
@@ -103,14 +105,12 @@ def _emit(payload: dict, fmt: str):
 
 
 def _flatten(payload, prefix=""):
-    items = []
     for key, value in payload.items():
         name = f"{prefix}{key}"
         if isinstance(value, dict):
-            items.extend(_flatten(value, f"{name}."))
+            yield from _flatten(value, f"{name}.")
         else:
-            items.append((name, value))
-    return items
+            yield name, value
 
 
 def _round6(value):
@@ -126,15 +126,14 @@ def _round6(value):
 
 
 def cmd_certify(args) -> int:
-    graph = _resolve_graph(args)
-    cert = smallness.minimal_c(graph)
+    cert = smallness.minimal_c(_graph_source(args)[1]())
     if cert.small:
         payload = {"verdict": "small", "c_min": float(cert.c_min)}
-        _emit(payload, args.format)
-        return EXIT_OK
-    payload = {"verdict": "not-small-for-any-c", "witness": [float(w) for w in cert.witness]}
+    else:
+        payload = {"verdict": "not-small-for-any-c",
+                   "witness": [float(w) for w in cert.witness]}
     _emit(payload, args.format)
-    return EXIT_NEGATIVE
+    return EXIT_OK if cert.small else EXIT_NEGATIVE
 
 
 def cmd_validate(args) -> int:
@@ -165,10 +164,9 @@ def cmd_verify(args) -> int:
     trials, seed = _resolve_sampling(args)
     if args.variant is not None and args.bound != cuts.KIND_REFINED:
         raise CliInputError("--variant needs --bound refined")
-    if args.gen:  # a --gen graph's order is checked before any edge is built
-        cuts._check_cut_request(_parse_gen(args.gen)[0], trials, seed)
-    graph = _resolve_graph(args)
-    cuts._check_cut_request(graph.n, trials, seed)  # before the partition is built
+    order, build = _graph_source(args)
+    cuts._check_cut_request(order, trials, seed)  # before any edge or block is built
+    graph = build()
     partition = _resolve_partition(args.partition, graph.n)
     csv_out = sys.stdout if args.format == "csv" else None
     report = cuts.verify_bound(graph, partition, kind=args.bound,
@@ -182,27 +180,25 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    graph = _resolve_graph(args)
+    graph = _graph_source(args)[1]()
     if args.mode == "fiedler":
-        _emit({"fiedler_value": cuts.fiedler_value(graph)}, args.format)
-        return EXIT_OK
-    if args.mode == "sparsity":
+        payload = {"fiedler_value": cuts.fiedler_value(graph)}
+    elif args.mode == "sparsity":
         profile = cuts.sparsity_profile(graph)
         payload = {
             "min_ratio": profile.ratio,
             "argmin_cut": list(profile.members) if profile.members is not None else None,
             "argmin_bitmask": profile.bitmask,
         }
-        _emit(payload, args.format)
-        return EXIT_OK
-    # identities over all cuts, folded by position in IDENTITY_NAMES order
-    worst = [0.0] * len(bounds.IDENTITY_NAMES)
-    examined = 0
-    for S in cuts.enumerate_cuts(graph):
-        worst = list(map(max, worst, bounds.identity_suite(graph, S).values()))
-        examined += 1
-    payload = {"cuts_examined": examined,
-               "max_residuals": dict(zip(bounds.IDENTITY_NAMES, worst))}
+    else:
+        # identities over all cuts, folded by position in IDENTITY_NAMES order
+        worst = [0.0] * len(bounds.IDENTITY_NAMES)
+        examined = 0
+        for S in cuts.enumerate_cuts(graph):
+            worst = list(map(max, worst, bounds.identity_suite(graph, S).values()))
+            examined += 1
+        payload = {"cuts_examined": examined,
+                   "max_residuals": dict(zip(bounds.IDENTITY_NAMES, worst))}
     _emit(payload, args.format)
     return EXIT_OK
 

@@ -356,7 +356,7 @@ def verify_bound(
     _check_cut_request(graph.n, trials, seed)  # whatever the certificate says
     key_chunks = (_exhaustive_keys(graph) if trials is None
                   else _sampled_keys(graph, trials, seed))
-    failing = replication_degree_check(graph, partition)
+    dominance_failures = replication_degree_check(graph, partition)
     cert = partition_certificate(graph, partition)
     reason = None
     if not cert.small:
@@ -412,7 +412,7 @@ def verify_bound(
         c=None if reason else float(cert.c),
         bound_kind=kind,
         variant=variant,
-        degree_dominance_failures=failing,
+        degree_dominance_failures=dominance_failures,
         seed=None if trials is None else seed,
         trials=trials,
         cuts_examined=examined,

@@ -63,10 +63,6 @@ def eigen_all(M: np.ndarray) -> EigenResult:
     n = A.shape[0]
     V = np.eye(n)
     fro = float(np.linalg.norm(A))
-    if fro == 0.0 or n == 1:
-        order = np.argsort(np.diag(A), kind="stable")
-        return EigenResult(np.diag(A)[order].copy(), V[:, order].copy())
-
     for sweep in range(MAX_SWEEPS):
         if _off_norm(A) <= DEFAULT_SWEEP_TOL * fro:
             break

@@ -226,6 +226,11 @@ class TestIdentitySuite:
             S = rng.sample(range(g.n), rng.randrange(1, g.n))
             assert set(identity_suite(g, S).values()) == {0}, S
 
+    def test_keys_follow_identity_names(self):
+        # the CLI folds the residuals by position and names them from IDENTITY_NAMES
+        residuals = identity_suite(graphs.random_gnp(10, 0.5, 3), {0, 2, 5})
+        assert tuple(residuals) == bounds.IDENTITY_NAMES
+
     def test_checks_are_independent_of_the_edge_counts(self, monkeypatch):
         def off_by_one(graph, members):
             stats = graphs.cut_stats(graph, members)

@@ -296,19 +296,28 @@ class TestVerify:
         ("complete-bipartite:13,14", [], "exhaustive enumeration capped at n=26; got n=27,"),
         ("multipartite:9,9,9", [], "exhaustive enumeration capped at n=26; got n=27,"),
         ("path:27", [], "exhaustive enumeration capped at n=26; got n=27,"),
+        # an edge-list header in place of a spec: the file is read, then refused
+        ("27 0", [], "exhaustive enumeration capped at n=26; got n=27,"),
+        ("63 0", ["--mode", "sample"], "sampled bitmask cuts support n <= 62"),
     ])
     @pytest.mark.parametrize("partition", ["trivial", "all-pairs", "near-pencil", "affine:3",
                                            "blocks.txt"])
-    def test_cut_request_refused_before_the_partition(self, capsys, monkeypatch, gen, flags,
-                                                      err, partition):
+    def test_cut_request_refused_before_the_partition(self, capsys, monkeypatch, tmp_path, gen,
+                                                      flags, err, partition):
         def unbuildable(*args):
             raise AssertionError("the graph or the partition was built")
 
-        monkeypatch.setattr(graphs, "from_edge_list", unbuildable)
+        if ":" in gen:
+            monkeypatch.setattr(graphs, "from_edge_list", unbuildable)
+            source = ["--gen", gen]
+        else:
+            f = tmp_path / "g.txt"
+            f.write_text(gen + "\n")
+            source = ["--graph", str(f)]
         for name in ("trivial_partition", "all_pairs_partition", "near_pencil",
                      "affine_plane", "load_blocks"):
             monkeypatch.setattr(partitions, name, unbuildable)
-        code, out, got = run(capsys, "verify", "--gen", gen, "--partition", partition,
+        code, out, got = run(capsys, "verify", *source, "--partition", partition,
                              *flags, "--format", "csv")
         assert code == 2 and out == ""
         assert got.startswith(f"error: {err}") and got.count("\n") == 1, got

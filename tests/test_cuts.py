@@ -525,6 +525,12 @@ class TestFiedlerValue:
         with pytest.raises(ValueError):
             fiedler_value(graphs.empty(1))
 
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_matches_numpy_spectrum(self, n):
+        g = graphs.random_gnp(n, 0.3, seed=n)
+        expected = np.linalg.eigvalsh(g.laplacian_matrix())[1]
+        assert fiedler_value(g) == pytest.approx(expected, abs=1e-9)
+
 
 def _component_count(g):
     seen = set()

@@ -77,6 +77,13 @@ class TestEigenAll:
         P = np.eye(6)[perm]
         assert np.allclose(eigen_all(M).values, eigen_all(P @ M @ P.T).values, atol=1e-9)
 
+    @pytest.mark.parametrize("M", [np.zeros((k, k)) for k in range(4)] + [np.array([[-2.5]])],
+                             ids=["zero0", "zero1", "zero2", "zero3", "one-by-one"])
+    def test_diagonal_input_returned_exactly(self, M):
+        res = eigen_all(M)
+        assert np.array_equal(res.values, np.diag(M))
+        assert np.array_equal(res.vectors, np.eye(len(M)))
+
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             eigen_all(np.array([[0.0, 1.0], [0.0, 0.0]]))

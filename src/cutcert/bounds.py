@@ -116,17 +116,6 @@ IDENTITY_NAMES = (
 )
 
 
-def _cut_vector(n: int, S) -> np.ndarray:
-    """The integer cut vector X = n*x of S, where x is q on S and -p off S.
-
-    With s = |S| and t = n - s, X is t on S and -s off S, so its coordinates
-    sum to exactly zero. S must already be validated: a vertex outside
-    [0, n) would count in s without a coordinate of its own.
-    """
-    s, t = len(S), n - len(S)
-    return np.array([t if v in S else -s for v in range(n)], dtype=np.int64)
-
-
 def identity_suite(graph: Graph, members) -> dict[str, float]:
     """Absolute residuals of the cut-vector identities for a proper cut.
 
@@ -137,7 +126,8 @@ def identity_suite(graph: Graph, members) -> dict[str, float]:
     cut degenerates the vector and is rejected, and a vertex outside [0, n)
     raises ``GraphInputError``. The edge counts come from ``cut_stats``,
     independently of the quadratic forms, which read the graph's cached
-    integer matrix stack; nothing per cut rebuilds a matrix.
+    integer matrix stack; nothing per cut rebuilds a matrix. X is t = n - s
+    on S and -s off S (s = |S|), built in the pass that sums deg(S), deg(S^c).
     """
     S = frozenset(members)
     n = graph.n
@@ -145,15 +135,17 @@ def identity_suite(graph: Graph, members) -> dict[str, float]:
         raise BoundDomainError("identities need a nonempty proper subset S")
     stats = cut_stats(graph, S)  # validates S before X is built from it
     s, t = len(S), n - len(S)
-    X = _cut_vector(n, S)
+    X, deg = [], [0, 0]  # deg(S^c) and deg(S), each summed over its own side
+    for v, d in enumerate(graph.degrees):
+        inside = v in S
+        X.append(t if inside else -s)
+        deg[inside] += d
+    deg_Sc, deg_S = deg
+    X = np.array(X, dtype=np.int64)
     # int64 is exact: every row of the stack has absolute sum <= 2n and
     # |X_v| <= n, so each partial sum is at most 2n^4 < 2^63 for any n whose
     # dense matrices fit in memory.
     XLX, XAX, XDX, sum_sq, XX = ((graph.form_stack @ X).reshape(5, n) @ X).tolist()
-    deg = [0, 0]  # deg(S^c) and deg(S), each summed over its own side
-    for v, d in enumerate(graph.degrees):
-        deg[v in S] += d
-    deg_Sc, deg_S = deg
     n2 = n * n
 
     return {

@@ -21,11 +21,12 @@ in int32 below 32 vertices. Verification keeps an int8 verdict per key
 whose key no earlier chunk saw, repeats within the chunk included; these
 give the worst ratio. Failing cuts keep their masks and keys, decoded once
 after the last chunk. Each chunk's CSV rows are written as soon as it is
-checked, so memory does not grow with the number of cuts.
+checked, so memory does not grow with the number of cuts. enumerate_cuts
+decodes the exhaustive kernel's masks one cut at a time, so verification,
+the sparsity profile and the identity audit read one traversal of the cuts.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -160,7 +161,7 @@ def _exhaustive_keys(graph: Graph):
     last = (1 << (graph.n - b)) - 1
     for h in range(last + 1):
         high = h << b
-        members = [v for v in range(b, graph.n) if high >> v & 1]
+        members = _mask_members(high)
         # seeded with the terms of L = {0}, so entry L ends up as the H terms
         across[0] = w * (sum((adj[v] & high).bit_count() for v in members) // 2
                          + (adj[0] & high).bit_count()) + sum(deg[v] for v in members)
@@ -172,25 +173,20 @@ def _exhaustive_keys(graph: Graph):
 
 
 def _mask_members(mask: int) -> tuple[int, ...]:
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+    """The vertices of a bitmask, ascending, one step per set bit."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(members)
 
 
 def enumerate_cuts(graph: Graph):
-    """Yield each nontrivial unordered cut once, as the side containing 0,
-    in ascending bitmask order: frozenset(L + H) for the member tuples of
-    each subset H of vertices b..n-1 and, inside it, each subset L of
-    0..b-1 that holds 0 (b = min(n, 16)). Both tables are built once per
-    call by doubling, and the count drops the all-ones mask, which is last.
-    """
-    count = _cut_count(graph.n)
-    b = min(graph.n, _LOW_BITS)
-    lows, highs = [(0,)], [()]
-    for v in range(1, b):
-        lows += [low + (v,) for low in lows]
-    for v in range(b, graph.n):
-        highs += [high + (v,) for high in highs]
-    for high, low in itertools.islice(itertools.product(highs, lows), count):
-        yield frozenset(low + high)
+    """Yield each nontrivial unordered cut once, as the frozenset of the side
+    containing 0, in ascending bitmask order: the masks of _exhaustive_keys."""
+    for masks, _ in _exhaustive_keys(graph):
+        yield from map(frozenset, map(_mask_members, masks.tolist()))
 
 
 def fiedler_value(graph: Graph) -> float:

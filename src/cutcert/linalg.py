@@ -33,6 +33,8 @@ def check_symmetric(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():  # an inf would turn the rotations into NaN
+        raise ValueError("matrix has a non-finite entry")
     if not np.array_equal(M, M.T):
         raise ValueError("matrix is not symmetric")
     return M

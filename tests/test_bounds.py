@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cutcert import bounds, graphs
+from cutcert import bounds, cuts, graphs, partitions
 from cutcert.bounds import (
     AS_STATED,
     ENDPOINTS,
@@ -160,6 +161,11 @@ class TestMinimizerLocation:
         # 4(1-c)e = c^2 n = 4 at c = 2/3, e = 3, n = 9
         assert f_minimizer_location(Fraction(2, 3), 3, 9) == FLAT
 
+    @pytest.mark.parametrize("c", [0, 1, -0.5, 1.5, Fraction(1)])
+    def test_domain(self, c):
+        with pytest.raises(BoundDomainError, match="0 < c < 1"):
+            f_minimizer_location(c, 1, 8)
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
         p_grid = np.arange(1, 1000) / 1000.0
@@ -196,6 +202,14 @@ class TestIdentitySuite:
         x = np.array([0.5, 0.5, -0.5, -0.5])
         assert float(x @ g.laplacian_matrix() @ x) == pytest.approx(4.0)
         assert identity_suite(g, {0, 1})[bounds.ID_CROSSING_LAPLACIAN] == 0
+
+    @pytest.mark.parametrize(
+        "g, members",
+        [(graphs.complete(2), {0}), (graphs.complete(4), {0}), (graphs.path(4), {3})]
+        + [(graphs.random_gnp(7, 0.5, 1), set(range(k))) for k in range(1, 7)],
+        ids=["K2-half", "K4-single", "P4-single"] + [f"G7-prefix{k}" for k in range(1, 7)])
+    def test_residuals_exactly_zero_on_listed_cuts(self, g, members):
+        assert set(identity_suite(g, members).values()) == {0}
 
     def test_trivial_cuts_rejected(self):
         g = graphs.complete(3)
@@ -247,23 +261,83 @@ class TestIdentitySuite:
         assert residuals[bounds.ID_PAIR_PRODUCTS] == 0
 
 
-class TestCutVector:
-    """The integer vector X = n*x the identity suite builds: t on S, -s off S."""
+def _slack_budget(graph, partition, c):
+    """One row per canonical cut, in integers on X = n*x (t on S, -s off S):
+    (mask, s, e_in, e_out, crossing, A, C), with the block-sum identity
+    Sigma_B (Sigma_B X)^2 = Sigma r_v X_v^2 - s(n - s)n checked on the way.
 
-    def test_single_vertex(self):
-        X = bounds._cut_vector(4, frozenset({0}))
-        assert X.dtype == np.int64
-        assert X.tolist() == [3, -1, -1, -1]
+    A = c Sigma_B (Sigma_B X)^2 - X^T Adj X (a Fraction, as c is one) and
+    C = Sigma (d_v - r_v) X_v^2. The edge counts come from the edges'
+    own endpoints, independently of the cut kernels.
+    """
+    n = graph.n
+    masks = np.arange(1, (1 << n) - 1, 2, dtype=np.int64)
+    inside = (masks[:, None] >> np.arange(n)) & 1
+    s = inside.sum(axis=1)
+    X = np.where(inside == 1, n - s[:, None], -s[:, None])
+    u, v = np.array(sorted(graph.edges), dtype=np.int64).reshape(-1, 2).T
+    e_in = (inside[:, u] & inside[:, v]).sum(axis=1)
+    crossing = (inside[:, u] ^ inside[:, v]).sum(axis=1)
+    e_out = graph.m - e_in - crossing
+    xax = 2 * (X[:, u] * X[:, v]).sum(axis=1)
+    incidence = np.zeros((n, len(partition.blocks)), dtype=np.int64)
+    for j, block in enumerate(partition.blocks):
+        incidence[list(block), j] = 1
+    r = np.array(partition.replication)
+    block_squares = ((X @ incidence) ** 2).sum(axis=1)
+    assert (block_squares == (X * X * r).sum(axis=1) - s * (n - s) * n).all()
+    C = (X * X * (np.array(graph.degrees) - r)).sum(axis=1)
+    A = [c * squares - quad for squares, quad in zip(block_squares.tolist(), xax.tolist())]
+    return list(zip(masks.tolist(), s.tolist(), e_in.tolist(), e_out.tolist(),
+                    crossing.tolist(), A, C.tolist()))
 
-    def test_half(self):
-        assert bounds._cut_vector(2, frozenset({0})).tolist() == [1, -1]
 
-    def test_full_side_is_zero(self):
-        assert bounds._cut_vector(4, frozenset(range(4))).tolist() == [0, 0, 0, 0]
+class TestSlackBudget:
+    """crossing - bound = E + [2(1-c)D + (cC + A)/n^2] / (c + 2(1-c)pq), exactly,
+    with p = s/n and q = 1 - p, D = q^2 e_in + p^2 e_out - (1 - 2pq)e_min and
+    E = intermediate_bound(c, e_min, n, p) - bound: the proof of the cut bound,
+    cut by cut. A, D and E are never negative, so only C < 0 (a vertex whose
+    replication outweighs its degree, as weighted by this cut) can fail it.
+    """
 
-    def test_sums_to_zero(self):
-        for k in range(1, 7):
-            X = bounds._cut_vector(7, frozenset(range(k)))
-            assert X[:k].tolist() == [7 - k] * k
-            assert X[k:].tolist() == [-k] * (7 - k)
-            assert X.sum() == 0
+    def test_budget_on_seeded_graphs(self):
+        # 60 seeded G(n, p) on each partition that certifies small
+        instances = []
+        for n, prob, seed in itertools.product(range(4, 9), (0.3, 0.5, 0.8), range(4)):
+            g = graphs.random_gnp(n, prob, seed)
+            for part in (partitions.trivial_partition(n), partitions.all_pairs_partition(n),
+                         partitions.near_pencil(n)):
+                cert = partitions.partition_certificate(g, part)
+                if cert.small:
+                    instances.append((g, part, cert.c))
+        pairs = violations = 0
+        for g, part, c in instances:
+            n = g.n
+            runs = [("base", AS_STATED)]
+            if c > 0:
+                runs += [("refined", AS_STATED), ("refined", TIGHT)]
+            budget = _slack_budget(g, part, c)
+            for kind, variant in runs:
+                failing = set()
+                for mask, size, e_in, e_out, crossing, A, C in budget:
+                    where = (g.edges, part.blocks, kind, variant, mask)
+                    e_min = min(e_in, e_out)
+                    bound = (lambda_value(c) * e_min if kind == "base"
+                             else refined_bound(c, e_min, n, variant))
+                    p = Fraction(size, n)
+                    q = 1 - p
+                    D = q * q * e_in + p * p * e_out - (1 - 2 * p * q) * e_min
+                    E = intermediate_bound(c, e_min, n, p) - bound
+                    assert A >= 0 and D >= 0 and E >= 0, where
+                    assert crossing - bound == E + (
+                        2 * (1 - c) * D + (c * C + A) / (n * n)
+                    ) / (c + 2 * (1 - c) * p * q), where
+                    if crossing < bound:
+                        assert C < 0, where
+                        failing.add(mask)
+                # the same cuts fail in verify_bound's kernel
+                report = cuts.verify_bound(g, part, kind, variant)
+                assert set(report.failing[0].tolist()) == failing
+                pairs += len(budget)
+                violations += len(failing)
+        assert (pairs, violations) == (10209, 170)

@@ -65,16 +65,29 @@ class TestEnumerateCuts:
             list(enumerate_cuts(graphs.empty(27)))
 
     @pytest.mark.parametrize("width", [1, 4, _LOW_BITS])
-    def test_member_tables_give_every_mask_in_order(self, monkeypatch, width):
-        # a narrow low table puts n = 1..12 on both sides of its width
+    def test_every_odd_mask_in_ascending_order(self, monkeypatch, width):
+        # a narrow low half puts n = 1..12 on both sides of its width, so
+        # the cuts come from one chunk or from many
         monkeypatch.setattr(cuts, "_LOW_BITS", width)
         for n in range(1, 13):
-            want = [frozenset(_mask_members(m)) for m in range(1, (1 << n) - 1, 2)]
+            want = [frozenset(v for v in range(n) if m >> v & 1)
+                    for m in range(1, (1 << n) - 1, 2)]
             assert list(enumerate_cuts(graphs.empty(n))) == want, n
 
     def test_stays_a_generator_function(self):
         # the benchmark's tracer counts yields only of generator functions
         assert inspect.isgeneratorfunction(cuts.enumerate_cuts)
+
+
+class TestMaskMembers:
+    def test_matches_a_bit_loop(self):
+        # sampled cuts on n = 62 reach bit 61 of an int64 mask
+        top = 1 << 61
+        rng = np.random.default_rng(11)
+        masks = [0, 1, top, top | 1, (1 << 62) - 1, (1 << 62) - 1 - top]
+        masks += rng.integers(0, 1 << 62, size=500, dtype=np.int64).tolist()
+        for mask in masks:
+            assert _mask_members(mask) == tuple(v for v in range(62) if mask >> v & 1), mask
 
 
 def _assert_kernel_matches_cut_stats(g, masks):
@@ -289,6 +302,12 @@ class TestVerifyBound:
         )
         assert not report.applicable
         assert "c > 0" in report.reason
+
+    @pytest.mark.parametrize("trials", [None, 50])
+    def test_unknown_kind_rejected(self, trials):
+        with pytest.raises(ValueError, match="unknown bound kind 'x'"):
+            verify_bound(graphs.complete(5), partitions.trivial_partition(5), kind="x",
+                         trials=trials)
 
     def test_empty_graph_base_bound_trivially_holds(self):
         report = verify_bound(graphs.empty(4), partitions.trivial_partition(4))

@@ -151,6 +151,11 @@ class TestMatrices:
     def test_empty_laplacian(self):
         assert np.array_equal(graphs.empty(3).laplacian_matrix(), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("perm", [[0, 0, 1], [1, 2], [0, 1, 2, 3], [1, 2, 3]])
+    def test_relabel_needs_a_permutation(self, perm):
+        with pytest.raises(GraphInputError, match="permutation"):
+            graphs.path(3).relabel(perm)
+
     def test_induced_k4_minus_vertex(self):
         sub = graphs.complete(4).induced_subgraph({0, 1, 2})
         assert sub.n == 3 and sub.m == 3
@@ -261,6 +266,14 @@ class TestDesignGraph:
     def test_invalid_blocks_rejected(self):
         with pytest.raises(GraphInputError, match="invalid block design"):
             design_graph(4, [(0, 1), (2, 3)], "complete")
+
+    @pytest.mark.parametrize("patterns", [[], ["complete"] * 2, ["complete"] * 4])
+    def test_one_pattern_per_block(self, patterns):
+        # near_pencil(3) has three blocks
+        from cutcert.partitions import near_pencil
+
+        with pytest.raises(GraphInputError, match=f"got {len(patterns)} patterns for 3 blocks"):
+            design_graph(3, near_pencil(3).blocks, patterns)
 
     def test_unknown_pattern(self):
         with pytest.raises(GraphInputError, match="pattern"):

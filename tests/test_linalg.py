@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cutcert import graphs
+from cutcert import graphs, linalg
 from cutcert.linalg import (
     check_symmetric,
     eigen_all,
@@ -91,6 +91,26 @@ class TestEigenAll:
     def test_symmetry_is_exact(self):
         with pytest.raises(ValueError, match="symmetric"):
             check_symmetric(np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]]))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 1, 1)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            check_symmetric(np.zeros(shape))
+
+    @pytest.mark.parametrize("M", [np.diag([np.inf, 1.0]), np.diag([1.0, -np.inf]),
+                                   np.array([[0.0, np.inf], [np.inf, 0.0]]),
+                                   np.array([[1.0, -np.inf], [-np.inf, 1.0]]),
+                                   np.array([[np.inf]]), np.array([[np.nan]]),
+                                   np.array([[0.0, np.nan], [np.nan, 0.0]])],
+                             ids=["inf-diag", "-inf-diag", "inf-off", "-inf-off", "inf-1x1",
+                                  "nan-1x1", "nan-off"])
+    def test_rejects_non_finite_before_any_sweep(self, monkeypatch, M):
+        def no_sweep(A):
+            raise AssertionError("a Jacobi sweep started")
+
+        monkeypatch.setattr(linalg, "_off_norm", no_sweep)
+        with pytest.raises(ValueError, match="non-finite"):
+            eigen_all(M)
 
 
 class TestIsPsd:

@@ -21,7 +21,8 @@ from cutcert.partitions import (
 
 class TestValidate:
     def test_single_full_block(self):
-        assert validate(3, [(0, 1, 2)]).valid
+        report = validate(3, [(0, 1, 2)])
+        assert report.valid and report.summary() == "valid"
 
     def test_uncovered_pairs_listed(self):
         report = validate(4, [(0, 1), (2, 3)])
@@ -32,6 +33,7 @@ class TestValidate:
         report = validate(4, [(0, 1, 2), (0, 1, 3)])
         assert not report.valid
         assert report.multiply_covered_pairs == ((0, 1),)
+        assert report.summary() == "1 uncovered pair(s); 1 multiply covered pair(s)"
 
     def test_undersized_block(self):
         report = validate(3, [(0,), (0, 1, 2)])
@@ -83,6 +85,12 @@ class TestGenerators:
     def test_near_pencil_needs_three(self):
         with pytest.raises(PartitionError):
             near_pencil(2)
+
+    @pytest.mark.parametrize("build", [trivial_partition, all_pairs_partition])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_pair_generators_need_two(self, build, n):
+        with pytest.raises(PartitionError, match="needs n >= 2"):
+            build(n)
 
 
 class TestPartitionInvariants:

@@ -1,10 +1,10 @@
-"""Dense symmetric eigen machinery.
+"""Dense symmetric spectra.
 
-A cyclic Jacobi rotation scheme provides the full spectrum of the small dense
+A cyclic Jacobi rotation scheme provides the eigenvalues of the small dense
 symmetric matrices this toolkit works with (adjacency, Laplacian, and
-all-ones combinations of order at most a few hundred). PSD verdicts and
-Fiedler values sit on top of it; the tests use it as an independent oracle
-for the structural smallness certificates.
+all-ones combinations of order at most a few hundred). Fiedler values sit on
+top of it; the tests use it as an independent oracle for the structural
+smallness certificates.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import numpy as np
 
 DEFAULT_SWEEP_TOL = 1e-12
 MAX_SWEEPS = 100
-DEFAULT_PSD_TOL = 1e-9
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -42,10 +41,9 @@ def check_symmetric(M: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Full spectrum, eigenvalues ascending, eigenvectors as matching columns."""
+    """Full spectrum, eigenvalues ascending."""
 
     values: np.ndarray
-    vectors: np.ndarray
 
 
 def _off_norm(A: np.ndarray) -> float:
@@ -55,7 +53,7 @@ def _off_norm(A: np.ndarray) -> float:
 
 
 def eigen_all(M: np.ndarray) -> EigenResult:
-    """Diagonalize a symmetric matrix with cyclic Jacobi rotations.
+    """Eigenvalues of a symmetric matrix, by cyclic Jacobi rotations.
 
     Converged when the off-diagonal Frobenius norm drops below
     DEFAULT_SWEEP_TOL times the Frobenius norm of the input; raises
@@ -63,7 +61,6 @@ def eigen_all(M: np.ndarray) -> EigenResult:
     """
     A = check_symmetric(M).copy()
     n = A.shape[0]
-    V = np.eye(n)
     fro = float(np.linalg.norm(A))
     for sweep in range(MAX_SWEEPS):
         if _off_norm(A) <= DEFAULT_SWEEP_TOL * fro:
@@ -88,37 +85,10 @@ def eigen_all(M: np.ndarray) -> EigenResult:
                 A[q, :] = s * row_p + c * row_q
                 A[p, q] = 0.0
                 A[q, p] = 0.0
-                vec_p = V[:, p].copy()
-                vec_q = V[:, q].copy()
-                V[:, p] = c * vec_p - s * vec_q
-                V[:, q] = s * vec_p + c * vec_q
     else:
         raise JacobiConvergenceError(_off_norm(A), MAX_SWEEPS)
 
-    values = np.diag(A).copy()
-    order = np.argsort(values, kind="stable")
-    return EigenResult(values[order], V[:, order].copy())
-
-
-@dataclass(frozen=True)
-class PsdVerdict:
-    """PSD decision; when negative, carries the most violating eigenvector."""
-
-    psd: bool
-    min_eigenvalue: float
-    witness: np.ndarray | None
-
-
-def is_psd(M: np.ndarray) -> PsdVerdict:
-    """PSD iff the minimum eigenvalue is >= -DEFAULT_PSD_TOL.
-
-    The returned witness w (for the negative case) satisfies w^t M w < 0.
-    """
-    result = eigen_all(M)
-    lo = float(result.values[0])
-    if lo >= -DEFAULT_PSD_TOL:
-        return PsdVerdict(True, lo, None)
-    return PsdVerdict(False, lo, result.vectors[:, 0].copy())
+    return EigenResult(np.sort(np.diag(A), kind="stable"))
 
 
 def quadratic_form(M: np.ndarray, x: np.ndarray) -> float:

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
 from .graphs import Graph
+
+PROBE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ def minimal_c(graph: Graph) -> SmallnessCertificate:
 def random_vector_probe(graph: Graph, c: float, trials: int, seed: int = 0) -> np.ndarray | None:
     """Sample vectors with entries uniform in [-1, 1] looking for a violation.
 
-    Returns the first x with x^t M x > c (sum x)^2 + linalg.DEFAULT_PSD_TOL,
+    Returns the first x with x^t M x > c (sum x)^2 + PROBE_MARGIN,
     or None.
     """
     if trials < 1:
@@ -128,7 +129,7 @@ def random_vector_probe(graph: Graph, c: float, trials: int, seed: int = 0) -> n
         X = rng.uniform(-1.0, 1.0, size=(k, graph.n))
         forms = np.einsum("ij,ij->i", X @ M, X)
         sums = X.sum(axis=1)
-        bad = np.nonzero(forms > c * sums**2 + linalg.DEFAULT_PSD_TOL)[0]
+        bad = np.nonzero(forms > c * sums**2 + PROBE_MARGIN)[0]
         if bad.size:
             return X[bad[0]].copy()
         done += k

@@ -292,6 +292,83 @@ def _slack_budget(graph, partition, c):
                     crossing.tolist(), A, C.tolist()))
 
 
+def _audit_budget(g, part, c):
+    """Check the slack budget on every cut of one c-small instance, under the
+    base bound and, when c > 0, both refined variants; verify_bound must fail
+    exactly the cuts with crossing < bound. Returns (runs, pairs, violations)
+    counted over (cut, bound) pairs.
+    """
+    n = g.n
+    runs = [("base", AS_STATED)]
+    if c > 0:
+        runs += [("refined", AS_STATED), ("refined", TIGHT)]
+    # everything but the bound depends on the cut alone
+    rows = []
+    for mask, size, e_in, e_out, crossing, A, C in _slack_budget(g, part, c):
+        e_min = min(e_in, e_out)
+        p = Fraction(size, n)
+        q = 1 - p
+        D = q * q * e_in + p * p * e_out - (1 - 2 * p * q) * e_min
+        assert A >= 0 and D >= 0, (g.edges, part.blocks, mask)
+        rest = (2 * (1 - c) * D + (c * C + A) / (n * n)) / (c + 2 * (1 - c) * p * q)
+        rows.append((mask, crossing, e_min, intermediate_bound(c, e_min, n, p), rest, C))
+    violations = 0
+    for kind, variant in runs:
+        failing = set()
+        for mask, crossing, e_min, intermediate, rest, C in rows:
+            where = (g.edges, part.blocks, kind, variant, mask)
+            bound = (lambda_value(c) * e_min if kind == "base"
+                     else refined_bound(c, e_min, n, variant))
+            E = intermediate - bound
+            assert E >= 0, where
+            assert crossing - bound == E + rest, where
+            if crossing < bound:
+                assert C < 0, where
+                failing.add(mask)
+        # the same cuts fail in verify_bound's kernel
+        report = cuts.verify_bound(g, part, kind, variant)
+        assert set(report.failing[0].tolist()) == failing
+        violations += len(failing)
+    return len(runs), len(runs) * len(rows), violations
+
+
+def _graphs_up_to_isomorphism(n):
+    """One labelled graph per isomorphism class on n vertices."""
+    pairs = list(itertools.combinations(range(n), 2))
+    perms = list(itertools.permutations(range(n)))
+    seen, found = set(), []
+    for r in range(len(pairs) + 1):
+        for edges in itertools.combinations(pairs, r):
+            canon = min(tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
+                        for perm in perms)
+            if canon not in seen:
+                seen.add(canon)
+                found.append(graphs.from_edge_list(n, edges))
+    return found
+
+
+def _linear_spaces(n):
+    """Every labelled linear space on range(n), as lists of blocks: the block
+    through the first uncovered pair takes any further points whose pairs
+    with the block are all still uncovered."""
+    def extend(covered, blocks):
+        open_pairs = [pair for pair in itertools.combinations(range(n), 2)
+                      if pair not in covered]
+        if not open_pairs:
+            yield blocks
+            return
+        a, b = open_pairs[0]
+        others = [v for v in range(n) if v not in (a, b)]
+        for r in range(len(others) + 1):
+            for extra in itertools.combinations(others, r):
+                block = tuple(sorted((a, b) + extra))
+                new = set(itertools.combinations(block, 2))
+                if not new & covered:
+                    yield from extend(covered | new, blocks + [block])
+
+    return list(extend(frozenset(), []))
+
+
 class TestSlackBudget:
     """crossing - bound = E + [2(1-c)D + (cC + A)/n^2] / (c + 2(1-c)pq), exactly,
     with p = s/n and q = 1 - p, D = q^2 e_in + p^2 e_out - (1 - 2pq)e_min and
@@ -302,42 +379,37 @@ class TestSlackBudget:
 
     def test_budget_on_seeded_graphs(self):
         # 60 seeded G(n, p) on each partition that certifies small
-        instances = []
+        pairs = violations = 0
         for n, prob, seed in itertools.product(range(4, 9), (0.3, 0.5, 0.8), range(4)):
             g = graphs.random_gnp(n, prob, seed)
             for part in (partitions.trivial_partition(n), partitions.all_pairs_partition(n),
                          partitions.near_pencil(n)):
                 cert = partitions.partition_certificate(g, part)
                 if cert.small:
-                    instances.append((g, part, cert.c))
-        pairs = violations = 0
-        for g, part, c in instances:
-            n = g.n
-            runs = [("base", AS_STATED)]
-            if c > 0:
-                runs += [("refined", AS_STATED), ("refined", TIGHT)]
-            budget = _slack_budget(g, part, c)
-            for kind, variant in runs:
-                failing = set()
-                for mask, size, e_in, e_out, crossing, A, C in budget:
-                    where = (g.edges, part.blocks, kind, variant, mask)
-                    e_min = min(e_in, e_out)
-                    bound = (lambda_value(c) * e_min if kind == "base"
-                             else refined_bound(c, e_min, n, variant))
-                    p = Fraction(size, n)
-                    q = 1 - p
-                    D = q * q * e_in + p * p * e_out - (1 - 2 * p * q) * e_min
-                    E = intermediate_bound(c, e_min, n, p) - bound
-                    assert A >= 0 and D >= 0 and E >= 0, where
-                    assert crossing - bound == E + (
-                        2 * (1 - c) * D + (c * C + A) / (n * n)
-                    ) / (c + 2 * (1 - c) * p * q), where
-                    if crossing < bound:
-                        assert C < 0, where
-                        failing.add(mask)
-                # the same cuts fail in verify_bound's kernel
-                report = cuts.verify_bound(g, part, kind, variant)
-                assert set(report.failing[0].tolist()) == failing
-                pairs += len(budget)
-                violations += len(failing)
+                    _, cut_pairs, failed = _audit_budget(g, part, cert.c)
+                    pairs += cut_pairs
+                    violations += failed
         assert (pairs, violations) == (10209, 170)
+
+    def test_sweep_every_graph_and_linear_space_to_five_vertices(self):
+        # every (graph, linear space) pair on 2..5 vertices up to relabelling:
+        # each graph class once, against every labelled space on its vertices
+        classes = {n: _graphs_up_to_isomorphism(n) for n in range(2, 6)}
+        spaces = {n: [partitions.PairPartition.checked(n, blocks) for blocks in _linear_spaces(n)]
+                  for n in range(2, 6)}
+        assert [len(classes[n]) for n in range(2, 6)] == [2, 4, 11, 34]
+        assert [len(spaces[n]) for n in range(2, 6)] == [1, 2, 6, 32]
+        runs = pairs = violations = 0
+        for n in range(2, 6):
+            for g, part in itertools.product(classes[n], spaces[n]):
+                cert = partitions.partition_certificate(g, part)
+                if not cert.small:
+                    continue
+                bound_runs, cut_pairs, failed = _audit_budget(g, part, cert.c)
+                if not partitions.replication_degree_check(g, part):
+                    # r_v <= d_v everywhere makes C >= 0 on every cut
+                    assert failed == 0, (g.edges, part.blocks)
+                runs += bound_runs
+                pairs += cut_pairs
+                violations += failed
+        assert (runs, pairs, violations) == (1787, 25537, 191)

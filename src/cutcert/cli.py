@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import bounds, cuts, graphs, partitions, smallness
@@ -259,6 +260,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError as exc:
+        # the reader closed stdout: point it at devnull so that the final
+        # flush stays quiet, and tell stderr only if it still takes a line
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            os.dup2(devnull, sys.stderr.fileno())
+        return EXIT_INPUT
     except (ValueError, OSError, OverflowError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT

@@ -17,11 +17,13 @@ amortized work per cut. Sampled cuts gather their L terms from the table
 and add each high vertex's with one popcount of the masks ANDed with its
 lower neighbours: O(n - b) vector operations per chunk, none at n <= 16,
 in int32 below 32 vertices. Verification keeps an int8 verdict per key
-(unseen, pass, fail): a chunk gathers its verdicts and decodes every cut
-whose key no earlier chunk saw, repeats within the chunk included; these
-give the worst ratio. Failing cuts keep their masks and keys, decoded once
-after the last chunk. Each chunk's CSV rows are written as soon as it is
-checked, so memory does not grow with the number of cuts. enumerate_cuts
+(unseen, pass, fail): a chunk gathers its verdicts, sorts the keys no
+earlier chunk saw and decodes each of them once, and these give the worst
+ratio. Failing cuts keep their masks and keys, decoded once after the last
+chunk. A CSV row after its mask is fixed by the key, so each distinct key's
+text is formatted once per call, kept in key order and found by binary
+search; each chunk's rows are written as soon as it is checked, so memory
+does not grow with the number of cuts. enumerate_cuts
 decodes the exhaustive kernel's masks one cut at a time, so verification,
 the sparsity profile and the identity audit read one traversal of the cuts.
 """
@@ -365,11 +367,13 @@ def verify_bound(
     fail_masks, fail_keys = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     if reason is None:
         need, value = _bound_tables(kind, variant, cert.c, graph)
-        bound_text = [repr(b) for b in value.tolist()]
     else:
         key_chunks, value = (), np.zeros(0)
     # the verdict of each key once it is seen: 0 unseen, 1 pass, 2 fail
     memo = np.zeros((graph.m + 1) ** 2, dtype=np.int8)
+    # the CSV row after the mask is fixed by the key, so each key seen is
+    # formatted once per call: tails[i] belongs to the key known[i], ascending
+    known, tails = np.zeros(0, np.int64), []
     if csv is not None:
         csv.write("cut_bitmask,e_in,e_out,crossing,bound,pass\n")
     for masks, keys in key_chunks:
@@ -377,27 +381,32 @@ def verify_bound(
         verdict = memo.take(keys)
         fresh = verdict == 0
         if fresh.any():
+            # each unseen key once: sorted, the first of each run of equals
             new = keys[fresh]
+            new.sort()
+            new = new[np.concatenate(([True], new[1:] != new[:-1]))]
             e_in, e_out, crossing = _decode(graph, new)
             e_min = np.minimum(e_in, e_out)
-            verdict[fresh] = memo[new] = np.where(crossing >= need[e_min], 1, 2)
+            ok = memo[new] = np.where(crossing >= need[e_min], 1, 2)
+            verdict = memo.take(keys)
             # the smallest crossing / bound, one float division per new key
             bound = value[e_min]
             ratios = np.divide(crossing, bound, out=np.full(len(new), math.inf),
                                where=bound > 0)
             worst = min(worst, float(ratios.min()))
+            if csv is not None:
+                rows = zip(*(a.tolist() for a in (e_in, e_out, crossing, bound, ok)))
+                tails += [f",{i},{o},{x},{b!r},{'pass' if v == 1 else 'fail'}\n"
+                          for i, o, x, b, v in rows]
+                known = np.concatenate((known, new))
+                order = known.argsort()
+                known, tails = known[order], [tails[i] for i in order.tolist()]
         fail = verdict == 2
         fail_masks.append(masks[fail])
         fail_keys.append(keys[fail])
         if csv is not None:
-            # the key fixes the rest of the row after the mask, so each
-            # distinct key is formatted once per chunk
-            seen, which = np.unique(keys, return_inverse=True)
-            tails = [f",{i},{o},{x},{bound_text[min(i, o)]},{'pass' if ok == 1 else 'fail'}\n"
-                     for i, o, x, ok in zip(*(a.tolist() for a in _decode(graph, seen)),
-                                            memo[seen].tolist())]
-            csv.write("".join([f"{mask}{tails[k]}"
-                               for mask, k in zip(masks.tolist(), which.tolist())]))
+            slots = known.searchsorted(keys).tolist()
+            csv.write("".join([f"{mask}{tails[i]}" for mask, i in zip(masks.tolist(), slots)]))
     e_in, e_out, crossing = _decode(graph, np.concatenate(fail_keys))
     bound = value[np.minimum(e_in, e_out)]
     return VerificationReport(

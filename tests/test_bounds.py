@@ -296,7 +296,8 @@ def _audit_budget(g, part, c):
     """Check the slack budget on every cut of one c-small instance, under the
     base bound and, when c > 0, both refined variants; verify_bound must fail
     exactly the cuts with crossing < bound. Returns (runs, pairs, violations)
-    counted over (cut, bound) pairs.
+    counted over (cut, bound) pairs, and the smallest crossing / e_min over
+    the cuts with e_min > 0 (None if there are none).
     """
     n = g.n
     runs = [("base", AS_STATED)]
@@ -304,8 +305,11 @@ def _audit_budget(g, part, c):
         runs += [("refined", AS_STATED), ("refined", TIGHT)]
     # everything but the bound depends on the cut alone
     rows = []
+    sparsest = None
     for mask, size, e_in, e_out, crossing, A, C in _slack_budget(g, part, c):
         e_min = min(e_in, e_out)
+        if e_min > 0 and (sparsest is None or crossing < sparsest * e_min):
+            sparsest = Fraction(crossing, e_min)
         p = Fraction(size, n)
         q = 1 - p
         D = q * q * e_in + p * p * e_out - (1 - 2 * p * q) * e_min
@@ -329,7 +333,7 @@ def _audit_budget(g, part, c):
         report = cuts.verify_bound(g, part, kind, variant)
         assert set(report.failing[0].tolist()) == failing
         violations += len(failing)
-    return len(runs), len(runs) * len(rows), violations
+    return len(runs), len(runs) * len(rows), violations, sparsest
 
 
 def _graphs_up_to_isomorphism(n):
@@ -386,7 +390,7 @@ class TestSlackBudget:
                          partitions.near_pencil(n)):
                 cert = partitions.partition_certificate(g, part)
                 if cert.small:
-                    _, cut_pairs, failed = _audit_budget(g, part, cert.c)
+                    _, cut_pairs, failed, _ = _audit_budget(g, part, cert.c)
                     pairs += cut_pairs
                     violations += failed
         assert (pairs, violations) == (10209, 170)
@@ -399,17 +403,39 @@ class TestSlackBudget:
                   for n in range(2, 6)}
         assert [len(classes[n]) for n in range(2, 6)] == [2, 4, 11, 34]
         assert [len(spaces[n]) for n in range(2, 6)] == [1, 2, 6, 32]
+        # weaker hypotheses than r_v <= d_v: on each, the instances where it
+        # holds and those where it holds and some bound fails
+        candidates = {
+            "r_v <= d_v": lambda r, d: all(x <= y for x, y in zip(r, d)),
+            "sum (d_v - r_v) >= 0": lambda r, d: sum(d) >= sum(r),
+            "r_v <= d_v where d_v > 0": lambda r, d: all(x <= y for x, y in zip(r, d) if y),
+            "r_v <= d_v + 1": lambda r, d: all(x <= y + 1 for x, y in zip(r, d)),
+        }
+        holds = {name: [0, 0] for name in candidates}
+        # per part count k, the smallest crossing / (lambda(c) e_min) under r_v <= d_v
+        loosest = {}
         runs = pairs = violations = 0
         for n in range(2, 6):
             for g, part in itertools.product(classes[n], spaces[n]):
                 cert = partitions.partition_certificate(g, part)
                 if not cert.small:
                     continue
-                bound_runs, cut_pairs, failed = _audit_budget(g, part, cert.c)
+                bound_runs, cut_pairs, failed, sparsest = _audit_budget(g, part, cert.c)
+                for name, hypothesis in candidates.items():
+                    if hypothesis(part.replication, g.degrees):
+                        holds[name][0] += 1
+                        holds[name][1] += failed > 0
                 if not partitions.replication_degree_check(g, part):
                     # r_v <= d_v everywhere makes C >= 0 on every cut
                     assert failed == 0, (g.edges, part.blocks)
+                    if sparsest is not None:
+                        k = cert.c.denominator
+                        ratio = sparsest / lambda_value(cert.c)
+                        loosest[k] = min(loosest.get(k, ratio), ratio)
                 runs += bound_runs
                 pairs += cut_pairs
                 violations += failed
         assert (runs, pairs, violations) == (1787, 25537, 191)
+        assert holds == {"r_v <= d_v": [95, 0], "sum (d_v - r_v) >= 0": [182, 0],
+                         "r_v <= d_v where d_v > 0": [140, 0], "r_v <= d_v + 1": [232, 0]}
+        assert loosest == {2: 3, 3: Fraction(15, 2), 4: 14, 5: 27}

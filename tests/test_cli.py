@@ -3,7 +3,11 @@ import csv
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,6 +428,25 @@ class TestVerify:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    @pytest.mark.parametrize("shared_stderr", [True, False], ids=["shared", "separate"])
+    def test_closed_output_pipe_exits_2(self, shared_stderr):
+        # the reader takes the header and leaves, as `| head -1` does; with
+        # stderr on the same pipe the error line meets the closed pipe too
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cutcert.cli", "verify", "--gen", "complete:20",
+             "--partition", "near-pencil", "--format", "csv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT if shared_stderr else subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+        assert proc.stdout.readline() == b"cut_bitmask,e_in,e_out,crossing,bound,pass\n"
+        proc.stdout.close()
+        err = b"" if shared_stderr else proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+        if not shared_stderr:
+            proc.stderr.close()
+            assert err.startswith(b"error: ")
+            assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
 class TestReport:

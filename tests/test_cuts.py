@@ -18,6 +18,7 @@ from cutcert.cuts import (
     _low_keys,
     _mask_keys,
     _mask_members,
+    _sampled_keys,
     _sampled_masks,
     enumerate_cuts,
     fiedler_value,
@@ -435,6 +436,35 @@ def test_verdicts_memoised_across_chunks(kind, sample):
         for pair, h in zip(zip(e_in[fail].tolist(), crossing[fail].tolist()), chunk[fail]):
             pairs.setdefault(pair, set()).add(int(h))
         assert any(len(hs) > 1 for hs in pairs.values())
+
+
+@pytest.mark.parametrize("n, part, trials, with_csv", [
+    (17, partitions.near_pencil(17), None, False),  # two kernel chunks
+    (17, partitions.near_pencil(17), None, True),
+    (25, partitions.affine_plane(5), 200_000, False),  # four sampling chunks
+], ids=["K17", "K17-csv", "affine5-sampled"])
+def test_each_distinct_key_decoded_once(monkeypatch, n, part, trials, with_csv):
+    # the verdicts, ratios and CSV text read one decode of each distinct key;
+    # the last decode is the failing cuts'
+    g = graphs.complete(n)
+    decoded = []
+
+    def record(graph, keys):
+        decoded.append(np.array(keys))
+        return _decode(graph, keys)
+
+    monkeypatch.setattr(cuts, "_decode", record)
+    sink = io.StringIO() if with_csv else None
+    report = verify_bound(g, part, trials=trials, seed=3, csv=sink)
+    *judged, final = decoded
+    chunks = list(_exhaustive_keys(g) if trials is None else _sampled_keys(g, trials, 3))
+    assert len(chunks) == (2 if trials is None else 4)
+    judged = np.sort(np.concatenate(judged))
+    assert np.array_equal(judged, np.unique(np.concatenate([k for _, k in chunks])))
+    assert len(judged) < 2_500 and report.cuts_examined == sum(len(k) for _, k in chunks)
+    assert len(final) == len(report.failing[0])
+    if with_csv:
+        assert sink.getvalue().count("\n") == report.cuts_examined + 1
 
 
 def test_sparsity_argmin_matches_endpoint_counts():

@@ -46,11 +46,8 @@ def intermediate_bound(c: float, e: float, n: float, p: float) -> float:
         raise BoundDomainError(f"need 0 <= c < 1, got {c}")
     if not 0 < p < 1:
         raise BoundDomainError(f"need 0 < p < 1, got {p}")
-    pq = p - p * p
-    denom = c + 2 * (1 - c) * pq
-    if denom <= 0:
-        raise BoundDomainError(f"degenerate denominator {denom} at c={c}, p={p}")
-    return (2 * (1 - c) * (1 - 2 * pq) * e + c * pq * n) / denom
+    pq = p - p * p  # > 0 in floats too: fl(p * p) < p on (0, 1), so the denominator is > 0
+    return (2 * (1 - c) * (1 - 2 * pq) * e + c * pq * n) / (c + 2 * (1 - c) * pq)
 
 
 def case_threshold(c: float, n: float) -> float:

@@ -10,7 +10,7 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -145,17 +145,12 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, frozenset(_canon_edge(u, v) for u, v in pairs))
 
 
-@dataclass(frozen=True)
-class CutStats:
+class CutStats(NamedTuple):
     """Edge counts of a cut: inside S, inside S^c, and crossing."""
 
     e_in: int
     e_out: int
     crossing: int
-
-    @property
-    def e_min(self) -> int:
-        return min(self.e_in, self.e_out)
 
 
 def cut_stats(graph: Graph, members: Iterable[int]) -> CutStats:

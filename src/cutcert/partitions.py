@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 from . import smallness
 from .graphs import Graph, _check_count, _int_lines
@@ -115,17 +115,17 @@ def replication_degree_check(graph: Graph, partition: PairPartition) -> tuple[in
     )
 
 
-@dataclass(frozen=True)
-class PartitionCertificate:
-    """Smallest uniform c making every induced block subgraph c-small.
+class PartitionCertificate(NamedTuple):
+    """Smallest uniform c making every induced block subgraph c-small: the
+    exact (k-1)/k, k the largest part count over the blocks. With c None,
+    offending_block is the first block that no c makes small."""
 
-    c = (k-1)/k exactly, k the largest part count over the blocks.
-    """
-
-    small: bool
     c: Fraction | None
-    offending_block: int | None
-    witness: object
+    offending_block: int | None = None
+
+    @property
+    def small(self) -> bool:
+        return self.c is not None
 
 
 def partition_certificate(graph: Graph, partition: PairPartition) -> PartitionCertificate:
@@ -134,9 +134,9 @@ def partition_certificate(graph: Graph, partition: PairPartition) -> PartitionCe
     for i, block in enumerate(partition.blocks):
         cert = smallness.minimal_c(graph.induced_subgraph(block))
         if not cert.small:
-            return PartitionCertificate(False, None, i, cert.witness)
+            return PartitionCertificate(None, i)
         c = max(c, cert.c_min)
-    return PartitionCertificate(True, c, None, None)
+    return PartitionCertificate(c)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ minimal feasible c exactly, from one pass over the graph's structure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,37 +17,37 @@ from .graphs import Graph
 PROBE_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
-class SmallnessCertificate:
-    """Either Small(c_min) or NotSmallForAnyC(witness).
+class SmallnessCertificate(NamedTuple):
+    """Small(parts) or NotSmallForAnyC(witness).
 
-    A small graph is complete multipartite with ``parts`` parts (an edgeless
-    graph has one part, the order-0 graph none), and c_min is the exact
-    Fraction (parts-1)/parts (0 with no parts). A NotSmallForAnyC witness w
-    has sum(w) = 0 and w^t M w = 2 > 0, which rules out every finite c at once.
+    A small graph is complete multipartite, and ``parts`` holds one vertex
+    bitmask per part (an edgeless graph has one part, the order-0 graph
+    none); c_min is the exact Fraction (k-1)/k for k parts (0 with none).
+    With no feasible c, parts is None and the witness w has sum(w) = 0 and
+    w^t M w = 2 > 0, which rules out every finite c at once.
     """
 
-    small: bool
-    c_min: Fraction | None
-    witness: np.ndarray | None
-    parts: int | None
+    parts: tuple[int, ...] | None
+    witness: np.ndarray | None = None
 
-    @staticmethod
-    def of_small(parts):
-        c_min = Fraction(parts - 1, parts) if parts else Fraction(0)
-        return SmallnessCertificate(True, c_min, None, parts)
+    @property
+    def small(self) -> bool:
+        return self.parts is not None
 
-    @staticmethod
-    def of_not_small(witness):
-        return SmallnessCertificate(False, None, np.asarray(witness, float), None)
+    @property
+    def c_min(self) -> Fraction | None:
+        if self.parts is None:
+            return None
+        k = len(self.parts)
+        return Fraction(k - 1, k) if k else Fraction(0)
 
 
 def _low_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def _structure(graph: Graph):
-    """Parts of a complete multipartite graph, or a not-small witness.
+def minimal_c(graph: Graph) -> SmallnessCertificate:
+    """Minimal c for which the graph is c-small, or a proof none exists.
 
     cJ - M >= 0 leaves M at most one positive eigenvalue, so a small graph
     is complete multipartite plus isolated vertices (Smith, 1970), and an
@@ -57,9 +57,9 @@ def _structure(graph: Graph):
 
     Vertices are grouped by neighbourhood bitmask: the graph is complete
     multipartite (edgeless counts as one part) iff each group is the
-    complement of its neighbourhood. Returns (part bitmasks, None), or
-    (None, x) with x = (1, 1, -2) on an edge uw and a vertex v adjacent to
-    neither: sum(x) = 0 and x^t M x = 2.
+    complement of its neighbourhood. Otherwise the witness is x = (1, 1, -2)
+    on an edge uw and a vertex v adjacent to neither: sum(x) = 0 and
+    x^t M x = 2.
     """
     adj = graph.adjacency_masks
     groups = {}
@@ -77,8 +77,8 @@ def _structure(graph: Graph):
             x = np.zeros(graph.n)
             x[[a, b]] = 1.0
             x[z] = -2.0
-            return None, x
-    return list(groups.values()), None
+            return SmallnessCertificate(None, x)
+    return SmallnessCertificate(tuple(groups.values()))
 
 
 def is_c_small(graph: Graph, c: float):
@@ -91,25 +91,17 @@ def is_c_small(graph: Graph, c: float):
     """
     if c < 0:
         raise ValueError(f"smallness constant must be nonnegative, got {c}")
-    parts, witness = _structure(graph)
-    if witness is not None:
-        return False, witness
-    k = len(parts)
-    if c >= SmallnessCertificate.of_small(k).c_min:
+    cert = minimal_c(graph)
+    if not cert.small:
+        return False, cert.witness
+    if c >= cert.c_min:
         return True, None
+    k = len(cert.parts)
     x = np.zeros(graph.n)
-    for part in parts:
+    for part in cert.parts:
         members = [v for v in range(graph.n) if part >> v & 1]
         x[members] = 1.0 / (k * len(members))
     return False, x
-
-
-def minimal_c(graph: Graph) -> SmallnessCertificate:
-    """Minimal c for which the graph is c-small, or a proof none exists."""
-    parts, witness = _structure(graph)
-    if witness is not None:
-        return SmallnessCertificate.of_not_small(witness)
-    return SmallnessCertificate.of_small(len(parts))
 
 
 def random_vector_probe(graph: Graph, c: float, trials: int, seed: int = 0) -> np.ndarray | None:

@@ -35,6 +35,8 @@ FILES = {
     "bowtie.txt": "6 7\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n",
     "chain.txt": f"18 {len(_CHAIN)}\n" + "".join(f"{u} {v}\n" for u, v in _CHAIN),
     "two_edges.txt": "4 2\n0 1\n2 3\n",
+    # under affine:3, blocks 3 = (0, 5, 7) and 10 = (3, 4, 5) are not small
+    "two_edges_of_9.txt": "9 2\n0 5\n3 4\n",
     "bad_line.txt": "3 1\nx y\n",
     "self_loop.txt": "3 1\n1 1\n",
     "out_of_range.txt": "2 1\n0 5\n",
@@ -152,6 +154,9 @@ def calls() -> list[list[str]]:
     # the refined bound is inapplicable (exit 4) on a graph with no edges
     out.extend(["verify", "--gen", "empty:4", "--partition", "trivial", "--bound", "refined",
                 "--format", fmt] for fmt in formats)
+    # the first block that no c makes small is block 3, not block 0 (exit 4)
+    out.extend(["verify", "--graph", _file("two_edges_of_9.txt"), "--partition", "affine:3",
+                "--format", fmt] for fmt in ("json", "human"))
     out += [["verify", "--gen", "complete:27", "--partition", "trivial"],
             ["verify", "--gen", "gnp:27,0.5,1", "--partition", "trivial", "--format", "csv"],
             ["verify", "--gen", "complete:63", "--partition", "trivial", "--mode", "sample"],

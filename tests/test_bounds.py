@@ -69,6 +69,14 @@ class TestIntermediateBound:
         with pytest.raises(BoundDomainError):
             intermediate_bound(1.0, 1, 4, 0.5)
 
+    @pytest.mark.parametrize("c", [0.0, 1 - 2**-53])
+    @pytest.mark.parametrize("p", [5e-324, 1 - 2**-53])
+    def test_extreme_floats_keep_the_denominator_positive(self, c, p):
+        # fl(p * p) < p for every double p in (0, 1); at c = 0 and the least
+        # subnormal p the bound is inf, its p -> 0 limit
+        for e, n in ((0, 4), (3, 10)):
+            assert intermediate_bound(c, e, n, p) >= 0
+
 
 class TestCaseThreshold:
     def test_examples(self):

@@ -297,6 +297,13 @@ class TestVerifyBound:
         assert "not c-small" in report.reason
         assert report.c is None
 
+    def test_reason_names_first_not_small_block(self):
+        # affine:3 blocks 0-2 are edgeless; blocks 3 and 10 are not small
+        g = graphs.from_edge_list(9, [(0, 5), (3, 4)])
+        report = verify_bound(g, partitions.affine_plane(3))
+        assert report.reason == "block 3 is not c-small for any c"
+        assert report.cuts_examined == 0
+
     def test_refined_needs_edges(self):
         report = verify_bound(
             graphs.empty(4), partitions.trivial_partition(4), kind="refined"
@@ -542,7 +549,7 @@ class TestSparsityProfile:
             assert profile.members == tuple(sorted(profile.members))
             assert profile.bitmask == sum(1 << v for v in profile.members)
             stats = graphs.cut_stats(g, profile.members)
-            assert profile.ratio == stats.crossing / stats.e_min
+            assert profile.ratio == stats.crossing / min(stats.e_in, stats.e_out)
 
     def test_star_unbounded(self):
         profile = sparsity_profile(graphs.star(5))

@@ -80,7 +80,6 @@ class TestCutStats:
     def test_k4_split(self):
         stats = cut_stats(graphs.complete(4), {0, 1})
         assert (stats.e_in, stats.e_out, stats.crossing) == (1, 1, 4)
-        assert stats.e_min == 1
 
     def test_bipartite_side(self):
         stats = cut_stats(graphs.complete_bipartite(2, 2), {0, 1})

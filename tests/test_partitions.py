@@ -165,7 +165,14 @@ class TestPartitionCertificate:
         cert = partition_certificate(g, trivial_partition(4))
         assert not cert.small
         assert cert.offending_block == 0
-        assert cert.witness is not None
+
+    def test_names_first_not_small_block_past_block_0(self):
+        # blocks 3 = (0, 5, 7) and 10 = (3, 4, 5) each induce an edge beside
+        # an isolated vertex; blocks 0-2 are edgeless
+        p = affine_plane(3)
+        assert p.blocks[3] == (0, 5, 7) and p.blocks[10] == (3, 4, 5)
+        g = graphs.from_edge_list(9, [(0, 5), (3, 4)])
+        assert partition_certificate(g, p) == (None, 3)
 
 
 class TestBlocksFormat:

@@ -159,17 +159,16 @@ class TestRandomVectorProbe:
 
 
 def test_certificate_constructors():
-    small = SmallnessCertificate.of_small(2)
-    assert small.small and small.witness is None
-    assert small.parts == 2 and small.c_min == 0.5
-    not_small = SmallnessCertificate.of_not_small([1.0, 1.0, -2.0])
-    assert not not_small.small and not_small.c_min is None and not_small.parts is None
+    small = SmallnessCertificate((0b011, 0b100))
+    assert small.small and small.witness is None and small.c_min == 0.5
+    not_small = SmallnessCertificate(None, np.array([1.0, 1.0, -2.0]))
+    assert not not_small.small and not_small.c_min is None
 
 
 def test_c_min_is_exact_and_compared_exactly():
     for k in range(1, 9):
         assert minimal_c(graphs.complete(k)).c_min == Fraction(k - 1, k)
-    assert SmallnessCertificate.of_small(0).c_min == 0
+    assert SmallnessCertificate(()).c_min == 0
     # the float 2/3 lies an ulp below the rational 2/3, which K_3 needs
     assert is_c_small(graphs.complete(3), Fraction(2, 3))[0]
     assert not is_c_small(graphs.complete(3), 2 / 3)[0]
@@ -194,3 +193,34 @@ def test_part_witness_holds_in_exact_arithmetic():
             assert form > Fraction(c) * sum(x) ** 2, parts
             checked += 1
     assert checked == 85  # the 84 three-part graphs with K_3 among them, and K_7
+
+
+def _assert_parts_are_the_partition(g, parts, k):
+    """parts are k nonempty disjoint vertex sets covering the graph, with
+    uv an edge exactly when u and v lie in different parts."""
+    members = [[v for v in range(g.n) if part >> v & 1] for part in parts]
+    assert all(members) and len(parts) == k, parts
+    assert sorted(v for part in members for v in part) == list(range(g.n)), parts
+    side = {v: i for i, part in enumerate(members) for v in part}
+    for u, v in itertools.combinations(range(g.n), 2):
+        assert ((u, v) in g.edges) == (side[u] != side[v]), (parts, u, v)
+
+
+def test_parts_are_the_vertex_partition():
+    for sizes in MULTIPARTITE_SIZES:
+        g = graphs.complete_multipartite(sizes)
+        _assert_parts_are_the_partition(g, minimal_c(g).parts, len(sizes))
+    for n in (0, 1, 4):
+        _assert_parts_are_the_partition(graphs.empty(n), minimal_c(graphs.empty(n)).parts,
+                                        min(n, 1))
+    # a complete multipartite graph has clique number k, found here by brute force
+    small = 0
+    for seed in range(200):
+        g = graphs.random_gnp(6, 0.8, seed)
+        cert = minimal_c(g)
+        if cert.small:
+            k = max(r for r in range(g.n + 1) for clique in itertools.combinations(range(g.n), r)
+                    if all(pair in g.edges for pair in itertools.combinations(clique, 2)))
+            _assert_parts_are_the_partition(g, cert.parts, k)
+            small += 1
+    assert small == 43

@@ -116,15 +116,18 @@ IDENTITY_NAMES = (
 def identity_suite(graph: Graph, members) -> dict[str, float]:
     """Absolute residuals of the cut-vector identities for a proper cut.
 
-    The identities are evaluated exactly, in integers on X = n*x, and the
+    The identities are evaluated on the integer vector X = n*x, and the
     residuals are reported in the units of x (divided by n^2, or 2n^2 for
     the pair products), so every residual is exactly 0 for any graph and
     any nonempty proper S: a nonzero one is a bug, not rounding. A trivial
     cut degenerates the vector and is rejected, and a vertex outside [0, n)
     raises ``GraphInputError``. The edge counts come from ``cut_stats``,
     independently of the quadratic forms, which read the graph's cached
-    integer matrix stack; nothing per cut rebuilds a matrix. X is t = n - s
+    float64 ``form_stack``; nothing per cut rebuilds a matrix. X is t = n - s
     on S and -s off S (s = |S|), built in the pass that sums deg(S), deg(S^c).
+
+    The float64 products are exact: stack rows have absolute sum <= 2n and
+    |X_v| < n, so each partial sum is an integer <= 2n^4 < 2^53 while n < 8192.
     """
     S = frozenset(members)
     n = graph.n
@@ -138,10 +141,7 @@ def identity_suite(graph: Graph, members) -> dict[str, float]:
         X.append(t if inside else -s)
         deg[inside] += d
     deg_Sc, deg_S = deg
-    X = np.array(X, dtype=np.int64)
-    # int64 is exact: every row of the stack has absolute sum <= 2n and
-    # |X_v| <= n, so each partial sum is at most 2n^4 < 2^63 for any n whose
-    # dense matrices fit in memory.
+    X = np.array(X, dtype=np.float64)
     XLX, XAX, XDX, sum_sq, XX = ((graph.form_stack @ X).reshape(5, n) @ X).tolist()
     n2 = n * n
 

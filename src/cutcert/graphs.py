@@ -70,29 +70,26 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """Adjacency A and Laplacian L = diag(d) - A, built once and read-only."""
-        A = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            A[u, v] = 1.0
-            A[v, u] = 1.0
-        L = np.diag(self.degrees) - A
-        A.flags.writeable = False
-        L.flags.writeable = False
-        return A, L
-
-    @cached_property
     def form_stack(self) -> np.ndarray:
-        """int64 stack [L; A; diag(d); J; I] of shape (5n, n), read-only.
+        """float64 stack [L; A; diag(d); J; I] of shape (5n, n), read-only:
+        the graph's one dense build, filled from the edges once.
 
-        For an integer vector X, ``(form_stack @ X).reshape(5, n) @ X`` is
+        For a vector X, ``(form_stack @ X).reshape(5, n) @ X`` is
         (X'LX, X'AX, X'diag(d)X, (sum X)^2, X'X) in two products.
         """
-        A, L = self._dense
-        stack = np.vstack([L, A, np.diag(self.degrees), np.ones((self.n, self.n)),
-                           np.eye(self.n)]).astype(np.int64)
+        A = np.zeros((self.n, self.n))
+        for u, v in self.edges:
+            A[u, v] = A[v, u] = 1.0
+        D = np.diag(self.degrees)
+        stack = np.vstack([D - A, A, D, np.ones((self.n, self.n)), np.eye(self.n)])
         stack.flags.writeable = False
         return stack
+
+    @cached_property
+    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency A and Laplacian L = diag(d) - A, views of ``form_stack``."""
+        n = self.n
+        return self.form_stack[n:2 * n], self.form_stack[:n]
 
     def adjacency_matrix(self) -> np.ndarray:
         return self._dense[0]

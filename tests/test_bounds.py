@@ -447,3 +447,22 @@ class TestSlackBudget:
         assert holds == {"r_v <= d_v": [95, 0], "sum (d_v - r_v) >= 0": [182, 0],
                          "r_v <= d_v where d_v > 0": [140, 0], "r_v <= d_v + 1": [232, 0]}
         assert loosest == {2: 3, 3: Fraction(15, 2), 4: 14, 5: 27}
+
+    def test_six_cycle_refutes_replication_at_most_degree_plus_one(self):
+        # the 6-cycle 0-4-2-3-1-5-0 under a 7-block linear space: r_v = d_v + 1
+        # at every vertex, and the refined bounds fail while the base one holds
+        g = graphs.from_edge_list(6, [(0, 4), (4, 2), (2, 3), (3, 1), (1, 5), (5, 0)])
+        part = partitions.PairPartition.checked(
+            6, [(0, 1, 2), (0, 3), (0, 4, 5), (1, 3, 5), (1, 4), (2, 3, 4), (2, 5)])
+        assert part.replication == (3,) * 6 and g.degrees == (2,) * 6
+        assert partitions.replication_degree_check(g, part) == (0, 1, 2, 3, 4, 5)
+        assert partitions.partition_certificate(g, part).c == Fraction(1, 2)
+        base = cuts.verify_bound(g, part)
+        assert (base.cuts_examined, base.violations, base.worst_ratio) == (31, (), 1.5)
+        for variant in (AS_STATED, TIGHT):
+            refined = cuts.verify_bound(g, part, kind=cuts.KIND_REFINED, variant=variant)
+            # cuts {0,2,4}, {0,1,5} and {0,4,5}
+            assert [(v.bitmask, v.e_in, v.e_out, v.crossing) for v in refined.violations] == [
+                (21, 2, 2, 2), (35, 2, 2, 2), (49, 2, 2, 2)]
+        assert refined_bound(Fraction(1, 2), 2, 6, AS_STATED) == Fraction(25, 12)
+        assert refined_bound(Fraction(1, 2), 2, 6, TIGHT) == Fraction(7, 3)

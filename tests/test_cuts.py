@@ -100,7 +100,7 @@ def _assert_kernel_matches_cut_stats(g, masks):
         assert got == (stats.e_in, stats.e_out, stats.crossing), f"mask {mask:#x}"
 
 
-class TestMaskStats:
+class TestMaskKeys:
     def test_every_cut_of_every_small_graph(self):
         for n in range(1, 6):
             pairs = list(itertools.combinations(range(n), 2))
@@ -182,7 +182,7 @@ def test_low_keys_entry_is_its_own_subset(name):
             assert table[low] == want, f"b={b} L={low:#x}"
 
 
-def _assert_chunks_match_mask_stats(g):
+def _assert_chunks_match_mask_keys(g):
     chunks = list(_exhaustive_keys(g))
     masks = np.concatenate([chunk[0] for chunk in chunks])
     assert np.array_equal(masks, all_masks(g.n))
@@ -200,17 +200,17 @@ class TestExhaustiveStats:
             assert masks[-1] < (1 << n) - 1
             assert np.array_equal(masks, all_masks(n))
 
-    def test_every_small_graph_matches_mask_stats(self):
+    def test_every_small_graph_matches_mask_keys(self):
         for n in range(2, 6):
             pairs = list(itertools.combinations(range(n), 2))
             for bits in range(1 << len(pairs)):
                 g = graphs.from_edge_list(n, (e for i, e in enumerate(pairs) if bits >> i & 1))
-                _assert_chunks_match_mask_stats(g)
+                _assert_chunks_match_mask_keys(g)
 
     def test_orders_around_the_split(self):
         for n in range(_LOW_BITS - 1, _LOW_BITS + 3):
-            _assert_chunks_match_mask_stats(graphs.random_gnp(n, 0.5, n))
-            _assert_chunks_match_mask_stats(graphs.empty(n))
+            _assert_chunks_match_mask_keys(graphs.random_gnp(n, 0.5, n))
+            _assert_chunks_match_mask_keys(graphs.empty(n))
 
     def test_first_middle_and_last_chunk_at_the_cap(self):
         n = 26
@@ -501,7 +501,7 @@ def test_sample_stream_is_pinned(n, seed):
     assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
 
 
-class TestSampleCutsVerify:
+class TestSampledVerify:
     def test_subset_of_exhaustive(self):
         report = verify_bound(
             graphs.complete(5), partitions.near_pencil(5), trials=100, seed=1

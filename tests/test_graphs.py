@@ -147,6 +147,20 @@ class TestMatrices:
             with pytest.raises(ValueError, match="read-only"):
                 M[0, 1] = 5.0
 
+    def test_matrices_are_views_of_the_float64_stack(self):
+        for g in (graphs.random_gnp(6, 0.5, seed=1), graphs.star(4), graphs.empty(0)):
+            n, stack = g.n, g.form_stack
+            assert stack.dtype == np.float64 and stack.shape == (5 * n, n)
+            A, D = np.zeros((n, n)), np.diag(g.degrees)
+            for u, v in g.edges:
+                A[u, v] = A[v, u] = 1
+            blocks = (D - A, A, D, np.ones((n, n)), np.eye(n))
+            for i, block in enumerate(blocks):
+                assert np.array_equal(stack[i * n:(i + 1) * n], block), (g, i)
+            if n:  # a zero-size array shares no memory
+                assert np.shares_memory(g.adjacency_matrix(), stack)
+                assert np.shares_memory(g.laplacian_matrix(), stack)
+
     def test_empty_laplacian(self):
         assert np.array_equal(graphs.empty(3).laplacian_matrix(), np.zeros((3, 3)))
 

@@ -3,7 +3,12 @@
 Cuts are canonicalized so that vertex 0 lies on the S side; each unordered
 split {S, S^c} is then seen exactly once. Exhaustive enumeration covers all
 2^(n-1) - 1 nontrivial cuts (capped at n = 26); beyond that, sampling with a
-fixed seed gives reproducible spot checks.
+fixed seed gives reproducible spot checks. Draw i of seed s (0 <= s < 2^64)
+is output i of SplitMix64 (Steele, Lea & Flood, OOPSLA 2014), the mixed word
+s + i·0x9E3779B97F4A7C15 mod 2^64, computed a chunk at a time in numpy uint64
+arithmetic from s and the draw count alone, never loading numpy.random. Its
+top n - 1 bits r give the mask 2r + 1, the all-ones r is dropped, and so the
+masks are uniform over the canonical cuts.
 
 Cuts are int64 bitmasks, handled a chunk at a time. With m edges, e(S^c) =
 m - e(S) - e(S, S^c), so everything the bound asks of a cut follows from
@@ -69,16 +74,27 @@ def _cut_count(n: int) -> int:
 
 
 def _sampled_masks(n: int, trials: int, seed: int):
-    rng = np.random.default_rng(seed)
-    full = (1 << n) - 1
-    done = 0
+    """Yield trials seeded masks in chunks of at most _CHUNK, drawn from the
+    SplitMix64 counter stream of the module docstring."""
+    full = np.uint64((1 << n) - 1)
+    drawn = done = 0
     while done < trials:
         k = min(_CHUNK, trials - done)
-        masks = rng.integers(1, full, size=k, dtype=np.int64, endpoint=False)
-        # canonical side contains vertex 0: even masks flip, as (0 - 1) & full
-        masks ^= ((masks & 1) - 1) & full
-        yield masks
-        done += k
+        z = np.arange(drawn + 1, drawn + k + 1, dtype=np.uint64)
+        drawn += k
+        z *= np.uint64(0x9E3779B97F4A7C15)
+        z += np.uint64(seed)
+        z ^= z >> 30
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> 27
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> 31
+        z >>= 64 - n
+        z |= 1  # 2r + 1, r the top n - 1 bits
+        masks = z[z != full].view(np.int64)
+        if len(masks):
+            done += len(masks)
+            yield masks
 
 
 def _decode(graph: Graph, keys):
@@ -331,6 +347,8 @@ def _check_cut_request(n: int, trials: int | None, seed: int) -> None:
         raise ValueError(f"trials must be >= 1, got {trials}")
     elif seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    elif seed >= 1 << 64:
+        raise ValueError(f"seed must be in [0, {(1 << 64) - 1}], got {seed}")
     elif n > 62:
         raise CutCapError("sampled bitmask cuts support n <= 62")
     elif n < 2:

@@ -162,6 +162,9 @@ def calls() -> list[list[str]]:
             ["verify", "--gen", "complete:63", "--partition", "trivial", "--mode", "sample"],
             ["verify", "--gen", "empty:0", "--partition", "trivial"],
             ["verify", "--gen", "empty:1", "--partition", "trivial", "--mode", "sample"],
+            # a seed is one 64-bit word: 2^64 is refused, not aliased to 0
+            ["verify", "--gen", "complete:5", "--partition", "trivial", "--mode", "sample",
+             "--seed", "18446744073709551616"],
             # refused before the 1,999,000-pair trivial partition is built
             ["verify", "--gen", "empty:2000", "--partition", "trivial"],
             ["verify", "--gen", "complete:5", "--partition", "trivial", "--variant", "as-stated",

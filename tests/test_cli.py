@@ -217,6 +217,9 @@ class TestVerify:
         # --variant shapes only the refined bound
         (["--variant", "tight"], "--variant needs --bound refined"),
         (["--bound", "base", "--variant", "as-stated"], "--variant needs --bound refined"),
+        # a SplitMix64 seed is one 64-bit word: 2^64 would alias 0
+        (["--mode", "sample", "--seed", str(1 << 64)],
+         f"seed must be in [0, {(1 << 64) - 1}], got {1 << 64}"),
     ])
     @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
     def test_rejected_sampling_flags(self, capsys, flags, err, fmt):
@@ -226,7 +229,8 @@ class TestVerify:
         assert got == f"error: {err}\n"
 
     @pytest.mark.parametrize("flags, examined, seed", [
-        ([], 1000, 0), (["--trials", "7"], 7, 0), (["--seed", "3"], 1000, 3)])
+        ([], 1000, 0), (["--trials", "7"], 7, 0), (["--seed", "3"], 1000, 3),
+        (["--seed", str((1 << 64) - 1)], 1000, (1 << 64) - 1)])
     def test_sample_mode_defaults(self, capsys, flags, examined, seed):
         code, out, _ = run(capsys, "verify", "--gen", "complete:5", "--partition", "trivial",
                            "--mode", "sample", *flags, "--format", "json")
@@ -447,6 +451,24 @@ class TestVerify:
             proc.stderr.close()
             assert err.startswith(b"error: ")
             assert b"Traceback" not in err and b"Exception ignored" not in err
+
+    def test_sampled_verify_loads_no_numpy_random(self):
+        # whether a bare `import numpy` loads numpy.random depends on the numpy
+        # version; a sampled verify must not add it
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "import numpy",
+            "bare = 'numpy.random' in sys.modules",
+            "from cutcert import cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    code = cli.main(['verify', '--gen', 'complete:25', '--partition', 'affine:5',",
+            "                     '--mode', 'sample', '--format', 'json'])",
+            "print(code, bare, 'numpy.random' in sys.modules)"])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+        code, bare, after = proc.stdout.split()
+        assert (code, after) == ("0", bare), proc.stderr
 
 
 class TestReport:

@@ -484,21 +484,68 @@ def test_sparsity_argmin_matches_endpoint_counts():
     assert (profile.ratio, profile.bitmask) == (ratios[first], masks[first])
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(seed, i):
+    """Output i (from 1) of SplitMix64 seeded with seed, in Python ints."""
+    z = (seed + i * 0x9E3779B97F4A7C15) & _MASK64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
+
+
+def test_splitmix64_reference_matches_published_outputs():
+    # the first outputs of the reference splitmix64.c for seeds 0 and 1234567
+    assert [_splitmix64(0, i) for i in (1, 2, 3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert _splitmix64(1234567, 1) == 6457827717110365317
+
+
 @pytest.mark.parametrize("n", [2, 25, 62])
 @pytest.mark.parametrize("seed", [0, 5])
 def test_sample_stream_is_pinned(n, seed):
-    # 70,000 samples span two chunks; even draws flip to their complement
-    rng = np.random.default_rng(seed)
-    full = (1 << n) - 1
-    want = []
-    for k in (_CHUNK, 70_000 - _CHUNK):
-        masks = rng.integers(1, full, size=k, dtype=np.int64)
-        flip = (masks & 1) == 0
-        masks[flip] ^= full
-        want.append(masks)
+    # 70,000 samples: each chunk takes the next min(_CHUNK, still needed)
+    # draws and keeps the masks 2r + 1 of those whose top n - 1 bits r are
+    # not all ones, so past n = 2 the stream spans exactly two chunks
+    want, drawn, done = [], 0, 0
+    while done < 70_000:
+        k = min(_CHUNK, 70_000 - done)
+        tops = [_splitmix64(seed, i) >> 65 - n for i in range(drawn + 1, drawn + k + 1)]
+        drawn += k
+        chunk = [2 * r + 1 for r in tops if r != (1 << n - 1) - 1]
+        if chunk:
+            want.append(chunk)
+            done += len(chunk)
     got = list(_sampled_masks(n, 70_000, seed))
     assert [len(m) for m in got] == [len(m) for m in want]
-    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+    assert all(m.dtype == np.int64 and m.tolist() == w for m, w in zip(got, want))
+    assert n == 2 or len(got) == 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, _MASK64])
+class TestSmallSampler:
+    # the largest seed wraps seed + i·γ past 2^64: uint64 arrays wrap in
+    # silence, where a numpy scalar would warn
+
+    @pytest.mark.parametrize("trials", [1, 7, 70_000])
+    def test_two_vertices_give_only_mask_one(self, seed, trials):
+        # half the draws have r = 1, the all-ones mask 3, and are dropped
+        chunks = list(_sampled_masks(2, trials, seed))
+        assert all(m.dtype == np.int64 and 0 < len(m) <= _CHUNK for m in chunks)
+        assert np.array_equal(np.concatenate(chunks), np.ones(trials, np.int64))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_every_canonical_cut_uniformly(self, seed, n):
+        trials = 1 << 16
+        masks = np.concatenate(list(_sampled_masks(n, trials, seed)))
+        assert len(masks) == trials and masks.dtype == np.int64
+        seen, counts = np.unique(masks, return_counts=True)
+        # every odd mask but the all-ones one: never even, never all of V
+        assert seen.tolist() == list(range(1, (1 << n) - 1, 2))
+        p = 1 / ((1 << n - 1) - 1)
+        assert np.all(np.abs(counts - trials * p) <= 6 * math.sqrt(trials * p * (1 - p)))
 
 
 class TestSampledVerify:
@@ -516,6 +563,12 @@ class TestSampledVerify:
         b = verify_bound(BOWTIE_BRIDGE, partitions.all_pairs_partition(6),
                          trials=500, seed=9)
         assert a.to_dict() == b.to_dict()
+
+    def test_seed_range_is_one_64_bit_word(self):
+        g, p = graphs.complete(5), partitions.trivial_partition(5)
+        assert verify_bound(g, p, trials=5, seed=_MASK64).cuts_examined == 5
+        with pytest.raises(ValueError, match=rf"^seed must be in \[0, {_MASK64}\], got {1 << 64}$"):
+            verify_bound(g, p, trials=5, seed=1 << 64)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):

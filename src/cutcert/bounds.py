@@ -70,10 +70,15 @@ def refined_bound(c: float, e: float, n: float, variant: str = AS_STATED) -> flo
         raise BoundDomainError(f"need e >= 0 and n >= 1, got e={e}, n={n}")
     if variant not in (AS_STATED, TIGHT):
         raise BoundDomainError(f"unknown variant {variant!r}")
-    if e > case_threshold(c, n):
-        additive = c * n / (2 * (1 + c)) if variant == TIGHT else c * n / 4
-        return lambda_value(c) * e + additive
-    return 2 * (1 - c) / c * e
+    threshold, lam, additive, slope = _refined_pieces(c, n, variant)
+    return lam * e + additive if e > threshold else slope * e
+
+
+def _refined_pieces(c: float, n: float, variant: str):
+    """(threshold, lambda(c), additive term, low slope) of the refined bound
+    at c and n, for the e-independent work of a whole table of e at once."""
+    additive = c * n / (2 * (1 + c)) if variant == TIGHT else c * n / 4
+    return case_threshold(c, n), lambda_value(c), additive, 2 * (1 - c) / c
 
 
 def f_minimizer_location(c: float, e: float, n: float) -> str:

@@ -25,10 +25,6 @@ EXIT_NEGATIVE = 3
 EXIT_INAPPLICABLE = 4
 
 
-class CliInputError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Sources
 
@@ -53,18 +49,18 @@ def _parse_gen(spec: str):
     edge is built, and a call that builds the graph."""
     name, _, argstr = spec.partition(":")
     if name not in _GENERATORS:
-        raise CliInputError(f"unknown generator {name!r} in spec {spec!r}")
+        raise ValueError(f"unknown generator {name!r} in spec {spec!r}")
     builder, types, order = _GENERATORS[name]
     args = argstr.split(",") if argstr else []
     usage = ",".join("..." if t is ... else t.__name__ for t in types)
     if types[-1] is ...:
         types = types[:-1] * max(len(args), 1)
     if len(args) != len(types):
-        raise CliInputError(f"bad generator spec {spec!r}: expected {name}:{usage}")
+        raise ValueError(f"bad generator spec {spec!r}: expected {name}:{usage}")
     try:
         values = [kind(a) for kind, a in zip(types, args)]
     except ValueError as exc:
-        raise CliInputError(f"bad generator spec {spec!r}: {exc}")
+        raise ValueError(f"bad generator spec {spec!r}: {exc}")
     return order(*values), lambda: builder(*values)
 
 
@@ -157,14 +153,14 @@ def _resolve_sampling(args) -> tuple[int | None, int]:
         return (1000 if args.trials is None else args.trials,
                 0 if args.seed is None else args.seed)
     if args.trials is not None or args.seed is not None:
-        raise CliInputError("--trials and --seed need --mode sample")
+        raise ValueError("--trials and --seed need --mode sample")
     return None, 0
 
 
 def cmd_verify(args) -> int:
     trials, seed = _resolve_sampling(args)
     if args.variant is not None and args.bound != cuts.KIND_REFINED:
-        raise CliInputError("--variant needs --bound refined")
+        raise ValueError("--variant needs --bound refined")
     order, build = _graph_source(args)
     cuts._check_cut_request(order, trials, seed)  # before any edge or block is built
     graph = build()

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, linalg
-from .graphs import Graph
+from .graphs import Graph, _mask_members
 from .partitions import (
     PairPartition,
     partition_certificate,
@@ -51,9 +51,6 @@ EXHAUSTIVE_CAP = 26
 
 KIND_BASE = "base"
 KIND_REFINED = "refined"
-
-MODE_EXHAUSTIVE = "exhaustive"
-MODE_SAMPLED = "sampled"
 
 _CHUNK = 1 << 16
 _LOW_BITS = 16
@@ -190,16 +187,6 @@ def _exhaustive_keys(graph: Graph):
         yield (masks, keys) if h < last else (masks[:-1], keys[:-1])
 
 
-def _mask_members(mask: int) -> tuple[int, ...]:
-    """The vertices of a bitmask, ascending, one step per set bit."""
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(members)
-
-
 def enumerate_cuts(graph: Graph):
     """Yield each nontrivial unordered cut once, as the frozenset of the side
     containing 0, in ascending bitmask order: the masks of _exhaustive_keys."""
@@ -295,7 +282,7 @@ class VerificationReport:
 
     @property
     def mode(self) -> str:
-        return MODE_EXHAUSTIVE if self.trials is None else MODE_SAMPLED
+        return "exhaustive" if self.trials is None else "sampled"
 
     def to_dict(self):
         return {
@@ -331,10 +318,9 @@ def _bound_tables(kind: str, variant: str, c, graph: Graph):
     if kind == KIND_BASE:
         lam = bounds.lambda_value(c)
         exact = [lam * e for e in es]
-    elif kind == KIND_REFINED:
-        exact = [bounds.refined_bound(c, e, graph.n, variant) for e in es]
     else:
-        raise ValueError(f"unknown bound kind {kind!r}")
+        threshold, lam, additive, slope = bounds._refined_pieces(c, graph.n, variant)
+        exact = [lam * e + additive if e > threshold else slope * e for e in es]
     return np.array([math.ceil(b) for b in exact]), np.array([float(b) for b in exact])
 
 
@@ -370,6 +356,10 @@ def verify_bound(
     the header once the bound is settled, then each chunk's rows as soon as
     it is evaluated."""
     _check_cut_request(graph.n, trials, seed)  # whatever the certificate says
+    if kind not in (KIND_BASE, KIND_REFINED):
+        raise ValueError(f"unknown bound kind {kind!r}")
+    if variant not in (bounds.AS_STATED, bounds.TIGHT):
+        raise ValueError(f"unknown variant {variant!r}")
     key_chunks = (_exhaustive_keys(graph) if trials is None
                   else _sampled_keys(graph, trials, seed))
     dominance_failures = replication_degree_check(graph, partition)

@@ -23,6 +23,16 @@ def _canon_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _mask_members(mask: int) -> tuple[int, ...]:
+    """The vertices of a bitmask, ascending, one step per set bit."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(members)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1; construction checks every edge."""
@@ -85,17 +95,11 @@ class Graph:
         stack.flags.writeable = False
         return stack
 
-    @cached_property
-    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """Adjacency A and Laplacian L = diag(d) - A, views of ``form_stack``."""
-        n = self.n
-        return self.form_stack[n:2 * n], self.form_stack[:n]
-
     def adjacency_matrix(self) -> np.ndarray:
-        return self._dense[0]
+        return self.form_stack[self.n:2 * self.n]
 
     def laplacian_matrix(self) -> np.ndarray:
-        return self._dense[1]
+        return self.form_stack[:self.n]
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Subgraph on the given vertices, reindexed to 0..k-1 in sorted order;
@@ -108,14 +112,9 @@ class Graph:
             return self
         index = {v: i for i, v in enumerate(keep)}
         kept = sum(1 << v for v in keep)
-        sub = []
-        for i, v in enumerate(keep):
-            above = self.adjacency_masks[v] & kept & -(2 << v)
-            while above:
-                w = above.bit_length() - 1
-                sub.append((i, index[w]))
-                above ^= 1 << w
-        return Graph(len(keep), frozenset(sub))
+        return Graph(len(keep), frozenset(
+            (i, index[w]) for i, v in enumerate(keep)
+            for w in _mask_members(self.adjacency_masks[v] & kept & -(2 << v))))
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Graph with vertex v renamed perm[v]."""

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _mask_members
 
 PROBE_MARGIN = 1e-9
 
@@ -99,8 +99,7 @@ def is_c_small(graph: Graph, c: float):
     k = len(cert.parts)
     x = np.zeros(graph.n)
     for part in cert.parts:
-        members = [v for v in range(graph.n) if part >> v & 1]
-        x[members] = 1.0 / (k * len(members))
+        x[list(_mask_members(part))] = 1.0 / (k * part.bit_count())
     return False, x
 
 

@@ -2,6 +2,7 @@ import inspect
 import io
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cutcert.cuts import (
     _CHUNK,
     _LOW_BITS,
     CutCapError,
+    _bound_tables,
     _decode,
     _exhaustive_keys,
     _low_keys,
@@ -317,6 +319,27 @@ class TestVerifyBound:
             verify_bound(graphs.complete(5), partitions.trivial_partition(5), kind="x",
                          trials=trials)
 
+    # two disjoint edges are not c-small and the edgeless graph has c = 0, so
+    # every bound but K_4's is inapplicable; the names are checked before that
+    # is known
+    @pytest.mark.parametrize("graph, kind, variant, message", [
+        (graphs.from_edge_list(4, [(0, 1), (2, 3)]), "x", bounds.AS_STATED,
+         "unknown bound kind 'x'"),
+        (graphs.from_edge_list(4, [(0, 1), (2, 3)]), "base", "loose",
+         "unknown variant 'loose'"),
+        (graphs.from_edge_list(4, [(0, 1), (2, 3)]), "refined", "loose",
+         "unknown variant 'loose'"),
+        (graphs.empty(4), "refined", "loose", "unknown variant 'loose'"),
+        (graphs.complete(4), "base", "loose", "unknown variant 'loose'"),
+    ], ids=["kind-not-small", "base-variant-not-small", "refined-variant-not-small",
+            "refined-variant-edgeless", "base-variant-applicable"])
+    @pytest.mark.parametrize("trials", [None, 50])
+    def test_unknown_names_rejected_whatever_the_certificate(self, graph, kind, variant,
+                                                             message, trials):
+        with pytest.raises(ValueError, match=message):
+            verify_bound(graph, partitions.trivial_partition(4), kind=kind, variant=variant,
+                         trials=trials)
+
     def test_empty_graph_base_bound_trivially_holds(self):
         report = verify_bound(graphs.empty(4), partitions.trivial_partition(4))
         assert report.applicable and report.violations == ()
@@ -395,6 +418,21 @@ def test_verdicts_match_integer_forms():
 
 
 CHAIN = graphs.from_edge_list(18, TRIANGLE_CHAIN)
+
+
+@pytest.mark.parametrize("variant", [bounds.AS_STATED, bounds.TIGHT])
+@pytest.mark.parametrize("n, k", [(62, 62), (25, 5), (18, 2), (9, 3)])
+def test_refined_table_matches_per_e_fraction_oracle(n, k, variant):
+    # k equal parts give c = (k - 1)/k; at (9, 3) the case threshold is e = 3
+    # exactly, and the tie takes the low branch
+    g = graphs.complete_multipartite([n // k] * k)
+    c = Fraction(k - 1, k)
+    need, value = _bound_tables(cuts.KIND_REFINED, variant, c, g)
+    exact = [bounds.refined_bound(c, e, n, variant) for e in range(g.m // 2 + 1)]
+    assert need.tolist() == [math.ceil(b) for b in exact]
+    assert value.tolist() == [float(b) for b in exact]
+    if n == 9:
+        assert bounds.case_threshold(c, n) == exact[3] == 3
 
 
 def _endpoint_stats(g, masks):

@@ -68,7 +68,7 @@ class TestMinimalC:
         assert linalg.quadratic_form(TWO_EDGES.adjacency_matrix(), w) > 0
 
     def test_two_sided_certificate(self):
-        # the Jacobi spectrum checks the structural verdict independently, on
+        # the LAPACK spectrum checks the structural verdict independently, on
         # every labelled graph with 1..5 vertices and the criterion-1 families
         corpus = [
             graphs.from_edge_list(n, edges)

@@ -5,7 +5,8 @@ crossing >= lambda(c) * min(e(S), e(S^c)) with lambda(c) = 2(1-c)/(1+c).
 This module evaluates that coefficient, the p-dependent intermediate bound
 it is distilled from, the piecewise refinement that keeps the dropped
 c*p*q*n term, and the residuals of every algebraic identity used along the
-way.
+way. It alone knows the bound: cut verification reads its kind and variant
+names, their check and the per-e table from here.
 
 The formulas carry no float literals, so a ``fractions.Fraction`` c (with
 integer e and n) gives exact values and exact case splits, while a float c
@@ -13,6 +14,8 @@ gives floats. A float such as 2/3 lies an ulp below the rational 2/3, and the
 answers for it follow that float, not the rational it approximates.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,12 +25,23 @@ INTERIOR = "interior"
 ENDPOINTS = "endpoints"
 FLAT = "flat"
 
+KIND_BASE = "base"
+KIND_REFINED = "refined"
+
 AS_STATED = "as-stated"
 TIGHT = "tight"
 
 
 class BoundDomainError(ValueError):
-    """Bound evaluated outside its domain (c or p out of range)."""
+    """Bound evaluated outside its domain (c or p out of range) or by an unknown name."""
+
+
+def check_bound_names(kind: str, variant: str) -> None:
+    """Raise unless kind is a bound kind and variant a refined-bound variant."""
+    if kind not in (KIND_BASE, KIND_REFINED):
+        raise BoundDomainError(f"unknown bound kind {kind!r}")
+    if variant not in (AS_STATED, TIGHT):
+        raise BoundDomainError(f"unknown variant {variant!r}")
 
 
 def lambda_value(c: float) -> float:
@@ -68,17 +82,29 @@ def refined_bound(c: float, e: float, n: float, variant: str = AS_STATED) -> flo
         raise BoundDomainError(f"refined bound defined for 0 < c < 1, got {c}")
     if e < 0 or n < 1:
         raise BoundDomainError(f"need e >= 0 and n >= 1, got e={e}, n={n}")
-    if variant not in (AS_STATED, TIGHT):
-        raise BoundDomainError(f"unknown variant {variant!r}")
-    threshold, lam, additive, slope = _refined_pieces(c, n, variant)
-    return lam * e + additive if e > threshold else slope * e
+    check_bound_names(KIND_REFINED, variant)
+    return _refined_at(c, n, variant)(e)
 
 
-def _refined_pieces(c: float, n: float, variant: str):
-    """(threshold, lambda(c), additive term, low slope) of the refined bound
-    at c and n, for the e-independent work of a whole table of e at once."""
+def _refined_at(c: float, n: float, variant: str):
+    """The refined bound at c and n as a function of e, for a whole table of e."""
+    threshold, lam, slope = case_threshold(c, n), lambda_value(c), 2 * (1 - c) / c
     additive = c * n / (2 * (1 + c)) if variant == TIGHT else c * n / 4
-    return case_threshold(c, n), lambda_value(c), additive, 2 * (1 - c) / c
+    return lambda e: lam * e + additive if e > threshold else slope * e
+
+
+def bound_table(kind: str, variant: str, c, graph: Graph):
+    """The bound at every possible e_min = 0..m//2, from the exact c.
+
+    Returns (need, value): a cut passes iff crossing >= need[e_min], the
+    ceiling of the exact bound (crossing is an integer), and value[e_min] is
+    the bound correctly rounded to a float for reports.
+    """
+    check_bound_names(kind, variant)
+    es, lam = range(graph.m // 2 + 1), lambda_value(c)
+    exact = ([lam * e for e in es] if kind == KIND_BASE
+             else list(map(_refined_at(c, graph.n, variant), es)))
+    return np.array([math.ceil(b) for b in exact]), np.array([float(b) for b in exact])
 
 
 def f_minimizer_location(c: float, e: float, n: float) -> str:

@@ -159,7 +159,7 @@ def _resolve_sampling(args) -> tuple[int | None, int]:
 
 def cmd_verify(args) -> int:
     trials, seed = _resolve_sampling(args)
-    if args.variant is not None and args.bound != cuts.KIND_REFINED:
+    if args.variant is not None and args.bound != bounds.KIND_REFINED:
         raise ValueError("--variant needs --bound refined")
     order, build = _graph_source(args)
     cuts._check_cut_request(order, trials, seed)  # before any edge or block is built
@@ -232,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--partition", required=True,
                    help="blocks file or trivial|all-pairs|near-pencil|affine:q")
-    p.add_argument("--bound", choices=(cuts.KIND_BASE, cuts.KIND_REFINED),
-                   default=cuts.KIND_BASE)
+    p.add_argument("--bound", choices=(bounds.KIND_BASE, bounds.KIND_REFINED),
+                   default=bounds.KIND_BASE)
     p.add_argument("--variant", choices=(bounds.AS_STATED, bounds.TIGHT),
                    help="refined bound variant (default as-stated); needs --bound refined")
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")

@@ -26,11 +26,11 @@ in int32 below 32 vertices. Verification keeps an int8 verdict per key
 earlier chunk saw and decodes each of them once, and these give the worst
 ratio. Failing cuts keep their masks and keys, decoded once after the last
 chunk. A CSV row after its mask is fixed by the key, so each distinct key's
-text is formatted once per call, kept in key order and found by binary
-search; each chunk's rows are written as soon as it is checked, so memory
-does not grow with the number of cuts. enumerate_cuts
-decodes the exhaustive kernel's masks one cut at a time, so verification,
-the sparsity profile and the identity audit read one traversal of the cuts.
+text is formatted once per call and looked up by key; each chunk's rows are
+written as soon as it is checked, so memory does not grow with the number
+of cuts. The bound and its table come from bounds. enumerate_cuts decodes
+the exhaustive kernel's masks one cut at a time, so verification, the
+sparsity profile and the identity audit read one traversal of the cuts.
 """
 from __future__ import annotations
 
@@ -48,9 +48,6 @@ from .partitions import (
 )
 
 EXHAUSTIVE_CAP = 26
-
-KIND_BASE = "base"
-KIND_REFINED = "refined"
 
 _CHUNK = 1 << 16
 _LOW_BITS = 16
@@ -307,23 +304,6 @@ class VerificationReport:
         }
 
 
-def _bound_tables(kind: str, variant: str, c, graph: Graph):
-    """The bound at every possible e_min = 0..m//2, from the exact c.
-
-    Returns (need, value): a cut passes iff crossing >= need[e_min], the
-    ceiling of the exact bound (crossing is an integer), and value[e_min] is
-    the bound correctly rounded to a float for reports.
-    """
-    es = range(graph.m // 2 + 1)
-    if kind == KIND_BASE:
-        lam = bounds.lambda_value(c)
-        exact = [lam * e for e in es]
-    else:
-        threshold, lam, additive, slope = bounds._refined_pieces(c, graph.n, variant)
-        exact = [lam * e + additive if e > threshold else slope * e for e in es]
-    return np.array([math.ceil(b) for b in exact]), np.array([float(b) for b in exact])
-
-
 def _check_cut_request(n: int, trials: int | None, seed: int) -> None:
     """Raise unless verify_bound can examine the cuts asked for on n vertices:
     every cut up to the cap (trials None), or trials >= 1 seeded samples."""
@@ -344,7 +324,7 @@ def _check_cut_request(n: int, trials: int | None, seed: int) -> None:
 def verify_bound(
     graph: Graph,
     partition: PairPartition,
-    kind: str = KIND_BASE,
+    kind: str = bounds.KIND_BASE,
     variant: str = bounds.AS_STATED,
     trials: int | None = None,
     seed: int = 0,
@@ -356,10 +336,7 @@ def verify_bound(
     the header once the bound is settled, then each chunk's rows as soon as
     it is evaluated."""
     _check_cut_request(graph.n, trials, seed)  # whatever the certificate says
-    if kind not in (KIND_BASE, KIND_REFINED):
-        raise ValueError(f"unknown bound kind {kind!r}")
-    if variant not in (bounds.AS_STATED, bounds.TIGHT):
-        raise ValueError(f"unknown variant {variant!r}")
+    bounds.check_bound_names(kind, variant)
     key_chunks = (_exhaustive_keys(graph) if trials is None
                   else _sampled_keys(graph, trials, seed))
     dominance_failures = replication_degree_check(graph, partition)
@@ -367,21 +344,21 @@ def verify_bound(
     reason = None
     if not cert.small:
         reason = f"block {cert.offending_block} is not c-small for any c"
-    elif kind == KIND_REFINED and cert.c == 0:
+    elif kind == bounds.KIND_REFINED and cert.c == 0:
         reason = "refined bound needs c > 0 (graph has no edges)"
 
     worst = math.inf
     examined = 0
     fail_masks, fail_keys = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     if reason is None:
-        need, value = _bound_tables(kind, variant, cert.c, graph)
+        need, value = bounds.bound_table(kind, variant, cert.c, graph)
     else:
         key_chunks, value = (), np.zeros(0)
     # the verdict of each key once it is seen: 0 unseen, 1 pass, 2 fail
     memo = np.zeros((graph.m + 1) ** 2, dtype=np.int8)
     # the CSV row after the mask is fixed by the key, so each key seen is
-    # formatted once per call: tails[i] belongs to the key known[i], ascending
-    known, tails = np.zeros(0, np.int64), []
+    # formatted once per call
+    tail_of = {}
     if csv is not None:
         csv.write("cut_bitmask,e_in,e_out,crossing,bound,pass\n")
     for masks, keys in key_chunks:
@@ -404,18 +381,15 @@ def verify_bound(
                                where=bound > 0)
             worst = min(worst, float(ratios.min()))
             if csv is not None:
-                rows = zip(*(a.tolist() for a in (e_in, e_out, crossing, bound, ok)))
-                tails += [f",{i},{o},{x},{b!r},{'pass' if v == 1 else 'fail'}\n"
-                          for i, o, x, b, v in rows]
-                known = np.concatenate((known, new))
-                order = known.argsort()
-                known, tails = known[order], [tails[i] for i in order.tolist()]
+                rows = zip(*(a.tolist() for a in (new, e_in, e_out, crossing, bound, ok)))
+                tail_of.update((k, f",{i},{o},{x},{b!r},{'pass' if v == 1 else 'fail'}\n")
+                               for k, i, o, x, b, v in rows)
         fail = verdict == 2
         fail_masks.append(masks[fail])
         fail_keys.append(keys[fail])
         if csv is not None:
-            slots = known.searchsorted(keys).tolist()
-            csv.write("".join([f"{mask}{tails[i]}" for mask, i in zip(masks.tolist(), slots)]))
+            csv.write("".join([f"{mask}{tail_of[k]}"
+                               for mask, k in zip(masks.tolist(), keys.tolist())]))
     e_in, e_out, crossing = _decode(graph, np.concatenate(fail_keys))
     bound = value[np.minimum(e_in, e_out)]
     return VerificationReport(

@@ -82,16 +82,19 @@ class Graph:
     @cached_property
     def form_stack(self) -> np.ndarray:
         """float64 stack [L; A; diag(d); J; I] of shape (5n, n), read-only:
-        the graph's one dense build, filled from the edges once.
+        the graph's one dense build, allocated once and filled in place.
 
         For a vector X, ``(form_stack @ X).reshape(5, n) @ X`` is
         (X'LX, X'AX, X'diag(d)X, (sum X)^2, X'X) in two products.
         """
-        A = np.zeros((self.n, self.n))
+        stack = np.zeros((5 * self.n, self.n))
+        L, A, D, J, I = stack.reshape(5, self.n, self.n)
         for u, v in self.edges:
             A[u, v] = A[v, u] = 1.0
-        D = np.diag(self.degrees)
-        stack = np.vstack([D - A, A, D, np.ones((self.n, self.n)), np.eye(self.n)])
+        np.fill_diagonal(D, self.degrees)
+        np.subtract(D, A, out=L)
+        J.fill(1.0)
+        np.fill_diagonal(I, 1.0)
         stack.flags.writeable = False
         return stack
 

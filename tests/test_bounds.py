@@ -152,6 +152,19 @@ class TestRefinedBound:
             refined_bound(0.5, 1, 4, "loose")
 
 
+class TestBoundNames:
+    @pytest.mark.parametrize("kind, variant, message", [
+        ("x", AS_STATED, "unknown bound kind 'x'"),
+        (bounds.KIND_BASE, "loose", "unknown variant 'loose'"),
+        (bounds.KIND_REFINED, "loose", "unknown variant 'loose'"),
+    ], ids=["kind", "base-variant", "refined-variant"])
+    def test_unknown_names_rejected(self, kind, variant, message):
+        with pytest.raises(BoundDomainError, match=message):
+            bounds.check_bound_names(kind, variant)
+        with pytest.raises(BoundDomainError, match=message):
+            bounds.bound_table(kind, variant, Fraction(1, 2), graphs.complete(4))
+
+
 class TestMinimizerLocation:
     def test_interior(self):
         # 4(1-c)e - c^2 n = 6 - 3 = 3 > 0
@@ -460,7 +473,7 @@ class TestSlackBudget:
         base = cuts.verify_bound(g, part)
         assert (base.cuts_examined, base.violations, base.worst_ratio) == (31, (), 1.5)
         for variant in (AS_STATED, TIGHT):
-            refined = cuts.verify_bound(g, part, kind=cuts.KIND_REFINED, variant=variant)
+            refined = cuts.verify_bound(g, part, kind=bounds.KIND_REFINED, variant=variant)
             # cuts {0,2,4}, {0,1,5} and {0,4,5}
             assert [(v.bitmask, v.e_in, v.e_out, v.crossing) for v in refined.violations] == [
                 (21, 2, 2, 2), (35, 2, 2, 2), (49, 2, 2, 2)]

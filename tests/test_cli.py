@@ -3,6 +3,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,12 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutcert import cli, cuts, graphs, partitions
+from cutcert import bounds, cli, cuts, graphs, partitions
 from cutcert.cli import main
 from cutcert.cuts import (
     _CHUNK,
     _LOW_BITS,
-    _bound_tables,
     _decode,
     _exhaustive_keys,
     _low_keys,
@@ -381,8 +381,11 @@ class TestVerify:
                      + "".join(f"{u} {v}\n" for u, v in sorted(graph.edges)))
         part = (partitions.all_pairs_partition(graph.n) if partition == "all-pairs"
                 else partitions.near_pencil(graph.n))
+        # the exact bound of each e as a Fraction, independently of the
+        # verifier's table: its ceiling gives the verdict, its float the text
         c = partitions.partition_certificate(graph, part).c
-        need, value = _bound_tables(kind, "as-stated", c, graph)
+        exact = [bounds.lambda_value(c) * e if kind == "base"
+                 else bounds.refined_bound(c, e, graph.n) for e in range(graph.m // 2 + 1)]
         if sample:
             chunks = list(_sampled_masks(graph.n, *sample))
             mode = ["--mode", "sample", "--trials", str(sample[0]), "--seed", str(sample[1])]
@@ -395,8 +398,8 @@ class TestVerify:
         stats = kernel_stats(graph, masks)
         for mask, e_in, e_out, crossing in zip(masks.tolist(), *(a.tolist() for a in stats)):
             e = min(e_in, e_out)
-            bound = float(value[e])
-            verdict = "pass" if crossing >= need[e] else "fail"
+            bound = float(exact[e])
+            verdict = "pass" if crossing >= math.ceil(exact[e]) else "fail"
             lines.append(f"{mask},{e_in},{e_out},{crossing},{bound!r},{verdict}")
         code, out, _ = run(capsys, "verify", "--graph", str(f), "--partition", partition,
                            "--bound", kind, *mode, "--format", "csv")

@@ -14,7 +14,6 @@ from cutcert.cuts import (
     _CHUNK,
     _LOW_BITS,
     CutCapError,
-    _bound_tables,
     _decode,
     _exhaustive_keys,
     _low_keys,
@@ -420,19 +419,25 @@ def test_verdicts_match_integer_forms():
 CHAIN = graphs.from_edge_list(18, TRIANGLE_CHAIN)
 
 
-@pytest.mark.parametrize("variant", [bounds.AS_STATED, bounds.TIGHT])
+@pytest.mark.parametrize("kind, variant", [(bounds.KIND_BASE, bounds.AS_STATED),
+                                           (bounds.KIND_REFINED, bounds.AS_STATED),
+                                           (bounds.KIND_REFINED, bounds.TIGHT)])
 @pytest.mark.parametrize("n, k", [(62, 62), (25, 5), (18, 2), (9, 3)])
-def test_refined_table_matches_per_e_fraction_oracle(n, k, variant):
+def test_bound_table_matches_per_e_fraction_oracle(n, k, kind, variant):
     # k equal parts give c = (k - 1)/k; at (9, 3) the case threshold is e = 3
     # exactly, and the tie takes the low branch
     g = graphs.complete_multipartite([n // k] * k)
     c = Fraction(k - 1, k)
-    need, value = _bound_tables(cuts.KIND_REFINED, variant, c, g)
-    exact = [bounds.refined_bound(c, e, n, variant) for e in range(g.m // 2 + 1)]
+    need, value = bounds.bound_table(kind, variant, c, g)
+    es = range(g.m // 2 + 1)
+    exact = ([bounds.lambda_value(c) * e for e in es] if kind == bounds.KIND_BASE
+             else [bounds.refined_bound(c, e, n, variant) for e in es])
     assert need.tolist() == [math.ceil(b) for b in exact]
     assert value.tolist() == [float(b) for b in exact]
-    if n == 9:
+    if n == 9 and kind == bounds.KIND_REFINED:
         assert bounds.case_threshold(c, n) == exact[3] == 3
+    if kind == bounds.KIND_BASE and n in (18, 9):  # ceilings of integer bounds
+        assert exact[3 if n == 18 else 5] == 2
 
 
 def _endpoint_stats(g, masks):

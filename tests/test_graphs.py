@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,19 @@ class TestMatrices:
             if n:  # a zero-size array shares no memory
                 assert np.shares_memory(g.adjacency_matrix(), stack)
                 assert np.shares_memory(g.laplacian_matrix(), stack)
+
+    def test_form_stack_builds_in_place(self):
+        # the five blocks are filled in the one (5n, n) array: a build that
+        # stacks separately built blocks peaks at twice the stack's size
+        g = graphs.complete(200)
+        g.degrees  # built first, so the traced peak is the stack's alone
+        tracemalloc.start()
+        try:
+            stack = g.form_stack
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * stack.nbytes
 
     def test_empty_laplacian(self):
         assert np.array_equal(graphs.empty(3).laplacian_matrix(), np.zeros((3, 3)))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -166,11 +167,31 @@ def cmd_verify(args) -> int:
     graph = build()
     partition = _resolve_partition(args.partition, graph.n)
     csv_out = sys.stdout if args.format == "csv" else None
-    report = cuts.verify_bound(graph, partition, kind=args.bound,
-                               variant=args.variant or bounds.AS_STATED,
+    variant = args.variant or bounds.AS_STATED
+    report = cuts.verify_bound(graph, partition, kind=args.bound, variant=variant,
                                trials=trials, seed=seed, csv=csv_out)
     if csv_out is None:
-        _emit(report.to_dict(), args.format)
+        worst = report.worst_ratio
+        _emit({
+            "graph": {"n": graph.n, "edges": graph.m},
+            "partition": {"blocks": len(partition.blocks)},
+            "applicable": report.applicable,
+            "reason": report.reason,
+            "c": report.c,
+            "bound_kind": args.bound,
+            "variant": variant,
+            "degree_dominance_ok": report.degree_dominance_ok,
+            "degree_dominance_failures": list(report.degree_dominance_failures),
+            "mode": "exhaustive" if trials is None else "sampled",
+            "seed": None if trials is None else seed,
+            "trials": trials,
+            "cuts_examined": report.cuts_examined,
+            "worst_ratio": worst if math.isfinite(worst) else None,
+            "violations": [{"cut": list(graphs._mask_members(mask)), "bitmask": mask,
+                            "e_in": e_in, "e_out": e_out, "crossing": crossing, "bound": bound}
+                           for mask, e_in, e_out, crossing, bound
+                           in zip(*(a.tolist() for a in report.failing))],
+        }, args.format)
     if not report.applicable:
         return EXIT_INAPPLICABLE
     return EXIT_OK if not len(report.failing[0]) else EXIT_NEGATIVE
@@ -182,9 +203,10 @@ def cmd_report(args) -> int:
         payload = {"fiedler_value": cuts.fiedler_value(graph)}
     elif args.mode == "sparsity":
         profile = cuts.sparsity_profile(graph)
+        members = profile.members
         payload = {
             "min_ratio": profile.ratio,
-            "argmin_cut": list(profile.members) if profile.members is not None else None,
+            "argmin_cut": None if members is None else list(members),
             "argmin_bitmask": profile.bitmask,
         }
     else:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,8 +199,7 @@ def fiedler_value(graph: Graph) -> float:
     return float(linalg.eigen_all(graph.laplacian_matrix()).values[1])
 
 
-@dataclass(frozen=True)
-class SparsityProfile:
+class SparsityProfile(NamedTuple):
     """Smallest crossing / e_min over nontrivial cuts with e_min > 0.
 
     ratio None means no cut has edges on both sides ("unbounded": any
@@ -227,17 +227,14 @@ def sparsity_profile(graph: Graph) -> SparsityProfile:
         i = int(np.argmin(ratios))
         if ratios[i] < best:
             best, best_cut = float(ratios[i]), int(masks[i])
-    if best_cut is None:
-        return SparsityProfile(None, None)
-    return SparsityProfile(best, best_cut)
+    return SparsityProfile(None if best_cut is None else best, best_cut)
 
 
 # ---------------------------------------------------------------------------
 # Bound verification
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     bitmask: int
     e_in: int
     e_out: int
@@ -249,18 +246,11 @@ class Violation:
         return _mask_members(self.bitmask)
 
 
-@dataclass(frozen=True, eq=False)  # failing holds arrays: compare to_dict()s
+@dataclass(frozen=True, eq=False)  # failing holds arrays: compare with np.array_equal
 class VerificationReport:
-    graph_n: int
-    graph_edges: int
-    partition_blocks: int
     reason: str | None
     c: float | None
-    bound_kind: str
-    variant: str
     degree_dominance_failures: tuple
-    seed: int | None
-    trials: int | None
     cuts_examined: int
     worst_ratio: float
     failing: tuple  # Violation's fields as five arrays, in mask order
@@ -276,32 +266,6 @@ class VerificationReport:
     @property
     def degree_dominance_ok(self) -> bool:
         return not self.degree_dominance_failures
-
-    @property
-    def mode(self) -> str:
-        return "exhaustive" if self.trials is None else "sampled"
-
-    def to_dict(self):
-        return {
-            "graph": {"n": self.graph_n, "edges": self.graph_edges},
-            "partition": {"blocks": self.partition_blocks},
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "c": self.c,
-            "bound_kind": self.bound_kind,
-            "variant": self.variant,
-            "degree_dominance_ok": self.degree_dominance_ok,
-            "degree_dominance_failures": list(self.degree_dominance_failures),
-            "mode": self.mode,
-            "seed": self.seed,
-            "trials": self.trials,
-            "cuts_examined": self.cuts_examined,
-            "worst_ratio": self.worst_ratio if math.isfinite(self.worst_ratio) else None,
-            "violations": [{"cut": list(_mask_members(mask)), "bitmask": mask, "e_in": e_in,
-                            "e_out": e_out, "crossing": crossing, "bound": bound}
-                           for mask, e_in, e_out, crossing, bound
-                           in zip(*(a.tolist() for a in self.failing))],
-        }
 
 
 def _check_cut_request(n: int, trials: int | None, seed: int) -> None:
@@ -393,16 +357,9 @@ def verify_bound(
     e_in, e_out, crossing = _decode(graph, np.concatenate(fail_keys))
     bound = value[np.minimum(e_in, e_out)]
     return VerificationReport(
-        graph_n=graph.n,
-        graph_edges=graph.m,
-        partition_blocks=len(partition.blocks),
         reason=reason,
         c=None if reason else float(cert.c),
-        bound_kind=kind,
-        variant=variant,
         degree_dominance_failures=dominance_failures,
-        seed=None if trials is None else seed,
-        trials=trials,
         cuts_examined=examined,
         worst_ratio=worst,
         failing=(np.concatenate(fail_masks), e_in, e_out, crossing, bound),

@@ -8,7 +8,7 @@ check is exact, since LAPACK reads only one triangle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ def check_symmetric(M: np.ndarray) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
-class EigenResult:
+class EigenResult(NamedTuple):
     """Full spectrum, eigenvalues ascending."""
 
     values: np.ndarray

@@ -25,8 +25,7 @@ def _canon_blocks(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...
     return tuple(sorted(tuple(sorted(set(b))) for b in blocks))
 
 
-@dataclass(frozen=True)
-class PartitionValidationReport:
+class PartitionValidationReport(NamedTuple):
     valid: bool
     undersized_blocks: tuple
     uncovered_pairs: tuple

@@ -158,6 +158,17 @@ class TestVerify:
         assert payload["degree_dominance_ok"] is False
         assert any(v["cut"] == [0, 1, 2] for v in payload["violations"])
 
+    def test_report_serialization_round_trips(self, capsys, tmp_path):
+        f = tmp_path / "bowtie_bridge.txt"
+        f.write_text(BOWTIE_EDGES)
+        _, out, _ = run(capsys, "verify", "--graph", str(f),
+                        "--partition", "all-pairs", "--format", "json")
+        payload = json.loads(out)
+        assert json.dumps(payload, sort_keys=True, allow_nan=False) + "\n" == out
+        assert payload["violations"][0]["crossing"] == 1
+        assert payload["cuts_examined"] == 31
+        assert math.isfinite(payload["worst_ratio"])
+
     def test_refined_trivial(self, capsys):
         code, out, _ = run(capsys, "verify", "--gen", "complete:5",
                            "--partition", "trivial", "--bound", "refined",

@@ -68,6 +68,8 @@ def case_threshold(c: float, n: float) -> float:
     """Edge-count threshold c^2 n / (4(1-c)) separating the two refined cases."""
     if not 0 < c < 1:
         raise BoundDomainError(f"threshold defined for 0 < c < 1, got {c}")
+    if not n >= 0:
+        raise BoundDomainError(f"need n >= 0, got {n}")
     return c * c * n / (4 * (1 - c))
 
 
@@ -80,7 +82,7 @@ def refined_bound(c: float, e: float, n: float, variant: str = AS_STATED) -> flo
     """
     if not 0 < c < 1:
         raise BoundDomainError(f"refined bound defined for 0 < c < 1, got {c}")
-    if e < 0 or n < 1:
+    if not (e >= 0 and n >= 1):
         raise BoundDomainError(f"need e >= 0 and n >= 1, got e={e}, n={n}")
     check_bound_names(KIND_REFINED, variant)
     return _refined_at(c, n, variant)(e)
@@ -110,18 +112,15 @@ def bound_table(kind: str, variant: str, c, graph: Graph):
 def f_minimizer_location(c: float, e: float, n: float) -> str:
     """Where the intermediate bound attains its minimum over p.
 
-    The derivative sign is that of (2p-1)(4(1-c)e - c^2 n): a positive
-    second factor pushes the minimum to p = 1/2, a negative one to the
-    endpoints; a zero factor leaves the bound constant in p.
+    The derivative sign is that of (2p-1)(4(1-c)e - c^2 n), so the minimum
+    sits at p = 1/2 when e exceeds the case threshold c^2 n / (4(1-c)), at
+    the endpoints below it, and the bound is flat in p at it. Comparing e
+    with ``case_threshold``, as the refined bound does, keeps them one rule.
     """
-    if not 0 < c < 1:
-        raise BoundDomainError(f"need 0 < c < 1, got {c}")
-    factor = 4 * (1 - c) * e - c * c * n
-    if factor > 0:
-        return INTERIOR
-    if factor < 0:
-        return ENDPOINTS
-    return FLAT
+    threshold = case_threshold(c, n)
+    if not e >= 0:
+        raise BoundDomainError(f"need e >= 0, got {e}")
+    return INTERIOR if e > threshold else ENDPOINTS if e < threshold else FLAT
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,6 @@ class SmallnessCertificate(NamedTuple):
         return Fraction(k - 1, k) if k else Fraction(0)
 
 
-def _low_bit(x: int) -> int:
-    return (x & -x).bit_length() - 1
-
-
 def minimal_c(graph: Graph) -> SmallnessCertificate:
     """Minimal c for which the graph is c-small, or a proof none exists.
 
@@ -71,8 +67,8 @@ def minimal_c(graph: Graph) -> SmallnessCertificate:
         if stray:
             # u is not adjacent to v but has another neighbourhood; a vertex
             # w in exactly one of the two closes an edge the third one misses
-            v, u = _low_bit(part), _low_bit(stray)
-            w = _low_bit(adj[u] ^ nbrs)
+            v, u = _mask_members(part)[0], _mask_members(stray)[0]
+            w = _mask_members(adj[u] ^ nbrs)[0]
             a, b, z = (u, w, v) if adj[u] >> w & 1 else (v, w, u)
             x = np.zeros(graph.n)
             x[[a, b]] = 1.0
@@ -89,7 +85,7 @@ def is_c_small(graph: Graph, c: float):
     with x^t M x = 1 - 1/k. c is compared with (k-1)/k exactly, so a float c
     counts at its exact binary value.
     """
-    if c < 0:
+    if not c >= 0:
         raise ValueError(f"smallness constant must be nonnegative, got {c}")
     cert = minimal_c(graph)
     if not cert.small:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_cli import endpoint_stats
 
 from cutcert import bounds, cuts, graphs, partitions
 from cutcert.bounds import (
@@ -90,6 +91,11 @@ class TestCaseThreshold:
             with pytest.raises(BoundDomainError):
                 case_threshold(c, 5)
 
+    @pytest.mark.parametrize("n", [float("nan"), -1])
+    def test_nan_and_negative_n_rejected(self, n):
+        with pytest.raises(BoundDomainError, match="need n >= 0"):
+            case_threshold(0.5, n)
+
 
 class TestRefinedBound:
     def test_above_threshold_as_stated(self):
@@ -151,6 +157,11 @@ class TestRefinedBound:
         with pytest.raises(BoundDomainError):
             refined_bound(0.5, 1, 4, "loose")
 
+    @pytest.mark.parametrize("e, n", [(float("nan"), 9), (3, float("nan"))])
+    def test_nan_rejected(self, e, n):
+        with pytest.raises(BoundDomainError, match="need e >= 0 and n >= 1"):
+            refined_bound(0.5, e, n)
+
 
 class TestBoundNames:
     @pytest.mark.parametrize("kind, variant, message", [
@@ -186,6 +197,22 @@ class TestMinimizerLocation:
     def test_domain(self, c):
         with pytest.raises(BoundDomainError, match="0 < c < 1"):
             f_minimizer_location(c, 1, 8)
+
+    @pytest.mark.parametrize("e, n", [(float("nan"), 9), (-1, 9), (3, float("nan")), (3, -1)])
+    def test_nan_and_negative_counts_rejected(self, e, n):
+        with pytest.raises(BoundDomainError, match=r"need [en] >= 0"):
+            f_minimizer_location(0.5, e, n)
+
+    def test_interior_exactly_where_refined_bound_takes_upper_case(self):
+        # one comparison decides both: a float c = 2/3 lies below the rational,
+        # and at (3, 9) the refined bound takes its upper case, 0.4 * 3 + 1.5
+        for c in (k / (k + 1) for k in range(1, 10)):
+            for n in range(1, 151):
+                threshold = case_threshold(c, n)
+                for e in range(61):
+                    assert (f_minimizer_location(c, e, n) == INTERIOR) == (e > threshold), (c, e, n)
+        assert f_minimizer_location(2 / 3, 3, 9) == INTERIOR
+        assert refined_bound(2 / 3, 3, 9) == pytest.approx(2.7)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
@@ -297,9 +324,7 @@ def _slack_budget(graph, partition, c):
     s = inside.sum(axis=1)
     X = np.where(inside == 1, n - s[:, None], -s[:, None])
     u, v = np.array(sorted(graph.edges), dtype=np.int64).reshape(-1, 2).T
-    e_in = (inside[:, u] & inside[:, v]).sum(axis=1)
-    crossing = (inside[:, u] ^ inside[:, v]).sum(axis=1)
-    e_out = graph.m - e_in - crossing
+    e_in, e_out, crossing = endpoint_stats(graph, masks)
     xax = 2 * (X[:, u] * X[:, v]).sum(axis=1)
     incidence = np.zeros((n, len(partition.blocks)), dtype=np.int64)
     for j, block in enumerate(partition.blocks):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from test_acceptance import _random_design_instance
-from test_cli import TRIANGLE_CHAIN, all_masks, kernel_stats
+from test_cli import TRIANGLE_CHAIN, all_masks, endpoint_stats, kernel_stats
 
 from cutcert import bounds, cuts, graphs, partitions
 from cutcert.cuts import (
@@ -232,7 +232,7 @@ class TestExhaustiveStats:
         sparse = graphs.from_edge_list(n, [(0, n - 1), (15, 16), (2, 16), (5, 9)])
         for g in [graphs.random_gnp(n, 0.5, n), sparse]:
             for masks, keys in _exhaustive_keys(g):
-                for got, want in zip(_decode(g, keys), _endpoint_stats(g, masks)):
+                for got, want in zip(_decode(g, keys), endpoint_stats(g, masks)):
                     assert np.array_equal(got, want)
 
     def test_orders_zero_and_one_yield_nothing(self):
@@ -440,14 +440,6 @@ def test_bound_table_matches_per_e_fraction_oracle(n, k, kind, variant):
         assert exact[3 if n == 18 else 5] == 2
 
 
-def _endpoint_stats(g, masks):
-    """(e_in, e_out, crossing) of each cut, counted from the edge endpoints."""
-    bits = ((masks[:, None] >> np.arange(g.n)) & 1).astype(np.int8)
-    u, v = np.array(sorted(g.edges)).T
-    ends = bits[:, u] + bits[:, v]
-    return (ends == 2).sum(axis=1), (ends == 0).sum(axis=1), (ends == 1).sum(axis=1)
-
-
 @pytest.mark.parametrize("kind, sample", [("base", None), ("refined", None),
                                           ("base", (70_000, 4))])
 def test_verdicts_memoised_across_chunks(kind, sample):
@@ -465,7 +457,7 @@ def test_verdicts_memoised_across_chunks(kind, sample):
         chunk = np.arange(len(masks)) // _CHUNK
         report = verify_bound(CHAIN, p, kind=kind, trials=sample[0], seed=sample[1])
     assert chunk[-1] >= 1
-    e_in, e_out, crossing = _endpoint_stats(CHAIN, masks)
+    e_in, e_out, crossing = endpoint_stats(CHAIN, masks)
     e_min = np.minimum(e_in, e_out)
     passes = _integer_verdicts(kind, bounds.AS_STATED, k, CHAIN.n, e_min, crossing)
     distinct, which = np.unique(e_min, return_inverse=True)
@@ -519,7 +511,7 @@ def test_each_distinct_key_decoded_once(monkeypatch, n, part, trials, with_csv):
 
 def test_sparsity_argmin_matches_endpoint_counts():
     masks = all_masks(CHAIN.n)
-    e_in, e_out, crossing = _endpoint_stats(CHAIN, masks)
+    e_in, e_out, crossing = endpoint_stats(CHAIN, masks)
     e_min = np.minimum(e_in, e_out)
     ratios = np.where(e_min > 0, crossing / np.maximum(e_min, 1), np.inf)
     first = int(np.argmin(ratios))

@@ -43,6 +43,13 @@ class TestIsCSmall:
         with pytest.raises(ValueError):
             is_c_small(graphs.complete(2), -0.1)
 
+    @pytest.mark.parametrize("g", [graphs.complete(3), graphs.empty(3), TWO_EDGES],
+                             ids=["K3", "empty", "not-small"])
+    def test_nan_c_rejected(self, g):
+        # NaN fails every comparison, so a NaN c would otherwise get a verdict
+        with pytest.raises(ValueError, match="nonnegative"):
+            is_c_small(g, float("nan"))
+
     def test_monotone_in_c(self):
         for seed in range(8):
             g = graphs.random_gnp(6, 0.5, seed=seed)

@@ -114,8 +114,8 @@ def f_minimizer_location(c: float, e: float, n: float) -> str:
 
     The derivative sign is that of (2p-1)(4(1-c)e - c^2 n), so the minimum
     sits at p = 1/2 when e exceeds the case threshold c^2 n / (4(1-c)), at
-    the endpoints below it, and the bound is flat in p at it. Comparing e
-    with ``case_threshold``, as the refined bound does, keeps them one rule.
+    the endpoints below it, and the bound is flat in p at it. Comparing e with
+    ``case_threshold``, as the refined bound does, makes minimizer and case agree.
     """
     threshold = case_threshold(c, n)
     if not e >= 0:

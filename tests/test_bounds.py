@@ -210,7 +210,8 @@ class TestMinimizerLocation:
             for n in range(1, 151):
                 threshold = case_threshold(c, n)
                 for e in range(61):
-                    assert (f_minimizer_location(c, e, n) == INTERIOR) == (e > threshold), (c, e, n)
+                    interior = f_minimizer_location(c, e, n) == INTERIOR
+                    assert interior == (e > threshold), (c, e, n)
         assert f_minimizer_location(2 / 3, 3, 9) == INTERIOR
         assert refined_bound(2 / 3, 3, 9) == pytest.approx(2.7)
 
